@@ -1,16 +1,12 @@
 //! Reactor-backed connection layer vs the old polled worker pool:
 //!
-//! * **decide round-trip p50/p99** — the acceptance metric for the
-//!   reactor rewrite: the default (blocking, zero idle CPU) config
-//!   must match the old `low_latency` busy-yield config. Since the
-//!   rewrite, `low_latency` is a no-op alias for the default, so the
-//!   two labels measure the same server — printed side by side to
-//!   document the equivalence. The portable `poll(2)` backend is
-//!   measured too.
+//! * **decide round-trip p50/p99** — the blocking, zero-idle-CPU
+//!   default config on the epoll backend and on the portable `poll(2)`
+//!   backend.
 //! * **idle-CPU proxy** — process CPU time burned across an idle
 //!   window with 32 connected-but-silent clients. The old default
 //!   config charged a sleep-quantum wakeup per worker per 500 µs; the
-//!   old `low_latency` config burned `workers` full cores
+//!   old busy-yield config burned `workers` full cores
 //!   (busy-yield). The reactor blocks in the kernel: the burn should
 //!   be ~0 regardless of worker count — measured twice, once with the
 //!   maintenance layer disabled and once fully armed (recurring
@@ -40,18 +36,11 @@ fn main() {
         (20_000usize, Duration::from_secs(2))
     };
     println!("{:<28} {:>10} {:>10} {:>10}", "decide RTT", "p50", "p99", "mean");
-    let default_p99 = rtt("reactor-default", ServerConfig::default(), iters);
-    let alias_p99 = rtt("low-latency-alias", ServerConfig::low_latency(4), iters);
+    rtt("reactor-default", ServerConfig::default(), iters);
     rtt(
         "poll2-fallback-backend",
         ServerConfig { backend: BackendKind::Poll, ..ServerConfig::default() },
         iters,
-    );
-    // The acceptance bar: the blocking default must not regress the
-    // RTT the busy-yield config used to buy with a full core.
-    println!(
-        "default-vs-low-latency p99 ratio: {:.2} (≤ 1 means the default matches or beats it)",
-        default_p99 as f64 / alias_p99 as f64
     );
     idle_cpu(
         idle,
@@ -73,9 +62,9 @@ fn main() {
     );
 }
 
-/// Measures `iters` decide round trips against a fresh daemon; prints
-/// and returns the p99 in nanoseconds.
-fn rtt(label: &str, config: ServerConfig, iters: usize) -> u64 {
+/// Measures `iters` decide round trips against a fresh daemon and
+/// prints p50/p99/mean.
+fn rtt(label: &str, config: ServerConfig, iters: usize) {
     let daemon = spawn_sharded(&policy(), EngineConfig::default(), config).unwrap();
     let mut client = V2Client::connect(daemon.addr()).unwrap();
     for _ in 0..iters / 10 {
@@ -93,7 +82,6 @@ fn rtt(label: &str, config: ServerConfig, iters: usize) -> u64 {
     let (p50, p99) = (pct(0.50), pct(0.99));
     println!("{label:<28} {:>10} {:>10} {:>10}", ns(p50), ns(p99), ns(mean));
     daemon.shutdown();
-    p99
 }
 
 /// Process CPU time burned while the daemon idles with 32 connected,
@@ -107,7 +95,7 @@ fn idle_cpu(window: Duration, label: &str, config: ServerConfig) {
     let before = process_cpu();
     std::thread::sleep(window);
     let burned = process_cpu().saturating_sub(before);
-    let busy_yield_baseline = 4 * window; // old low_latency: workers × window, one core each
+    let busy_yield_baseline = 4 * window; // old busy-yield config: workers × window, one core each
     println!(
         "idle CPU over {:?} with {} silent clients [{label}]: {:?} \
          (old busy-yield baseline ≈ {:?}; old default ≈ one wakeup per worker per 500 µs)",

@@ -9,7 +9,7 @@
 //! With no argument, runs `all`. Absolute numbers come from the
 //! simulated testbed (calibrated against the paper's Table 1); the
 //! claims to check are the *shapes* — who wins, by what factor, where
-//! the crossovers fall. See `EXPERIMENTS.md`.
+//! the crossovers fall; `tests/experiment_shapes.rs` asserts them.
 
 use xar_core::experiments as exp;
 

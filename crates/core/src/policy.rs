@@ -216,8 +216,7 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
     }
 
     fn entry(&self, app: &str) -> Option<xar_sched::TableEntry> {
-        // Indexed lookup — the flush sink's per-batch delta query must
-        // not scan the whole table.
+        // Indexed lookup instead of the default full-table scan.
         self.table.get(app).map(|e| xar_sched::TableEntry {
             app: e.app.clone(),
             kernel: e.kernel.clone(),

@@ -16,7 +16,7 @@
 //!
 //! The crate knows nothing about the scheduler: payloads are opaque
 //! bytes. `xar-sched`'s `dur` module defines what goes inside them
-//! (report batches, session advances, row deltas) and drives recovery.
+//! (report batches, session advances, dedup notes) and drives recovery.
 
 pub mod crc;
 pub mod record;

@@ -10,9 +10,8 @@
 //! | 2   | `SeqBatch`    | session, seq, and the batch's reports — one    |
 //! |     |               | atomic record, so a crash can never persist    |
 //! |     |               | the reports without the high-water advance     |
-//! | 3   | `RowDeltas`   | shard index + post-apply rows of one flush     |
-//! |     |               | (the replication substrate; skipped on         |
-//! |     |               | recovery — state is rebuilt from the reports)  |
+//! | 3   | retired       | `RowDeltas` written by older daemons; skipped  |
+//! |     |               | on replay so their WALs still load             |
 //! | 4   | `ReplayNote`  | a deduped `(session, seq)` — journaled so the  |
 //! |     |               | `REPLAYED_BATCHES` conservation law against    |
 //! |     |               | client dedup counts survives a restart         |
@@ -29,9 +28,12 @@
 //! argument holds for every record that reached the disk; the unsynced
 //! tail is the documented loss window.)
 //!
-//! Lock order: `ingest` → engine shard `state` → `pending` → `wal`.
-//! The WAL mutex is a leaf — the flush sink reaches it while a shard
-//! state lock is held, so it may never wrap an engine call.
+//! The daemon takes the `ingest` lock as a `Journal` before a
+//! request's session dedup and releases it after the engine applied
+//! the request's reports.
+//!
+//! Lock order: `ingest` → engine shard `state` → `pending`; `wal` is
+//! taken under `ingest` only and never wraps an engine call.
 //!
 //! # Snapshot payload
 //!
@@ -40,22 +42,20 @@
 //! plus the full session table, as of the manifest's WAL watermark.
 //! Recovery = load newest valid snapshot, replay the WAL suffix.
 
-use crate::engine::{PolicyCore, ReportOwned, ShardedEngine, TableEntry};
+use crate::engine::{PolicyCore, ReportOwned, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
 use crate::wire::{target_from_byte, target_to_byte, WireReport};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use xar_obs::Tracer;
 
 pub use xar_dur::FsyncPolicy;
 use xar_dur::{load_latest_snapshot, prune_snapshots, write_snapshot, Wal, WalConfig};
 
 const REC_REPORT_BATCH: u8 = 1;
 const REC_SEQ_BATCH: u8 = 2;
-const REC_ROW_DELTAS: u8 = 3;
 const REC_REPLAY_NOTE: u8 = 4;
 
 const SNAPSHOT_VERSION: u8 = 1;
@@ -82,13 +82,13 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Defaults rooted at `dir`: fsync every append, 8 MiB segments,
-    /// snapshot every 4096 records.
+    /// snapshot every 512 records.
     pub fn at(dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
-            snapshot_every: 4096,
+            snapshot_every: 512,
         }
     }
 }
@@ -112,17 +112,6 @@ pub struct DurStats {
     pub snapshots_written: u64,
     pub recovery_replayed_records: u64,
     pub torn_tail_truncations: u64,
-}
-
-/// Outcome of one durable seq-stamped batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DurableSeqOutcome {
-    /// Journaled and ingested; ack the report count.
-    Fresh(usize),
-    /// Deduped (and the dedup journaled); ack 0.
-    Replay,
-    /// Session id 0 or table full; answer an error.
-    Rejected,
 }
 
 /// The daemon's durability engine: one WAL + snapshot set under one
@@ -218,88 +207,9 @@ impl Durability {
         Ok(lsn)
     }
 
-    /// Durable unsessioned batch ingest: journal, then apply. The ack
-    /// the caller sends is backed by the log (under `fsync = always`).
-    pub fn ingest_batch<P: PolicyCore>(
-        &self,
-        engine: &ShardedEngine<P>,
-        scratch: &mut crate::engine::BatchScratch,
-        reports: &[WireReport<'_>],
-        obs: Option<&mut Tracer>,
-    ) -> io::Result<usize> {
-        let mut buf = self.ingest.lock();
-        buf.clear();
-        encode_report_batch(reports, &mut buf);
-        self.append(&buf)?;
-        Ok(engine.report_batch_wire_obs(scratch, reports, obs))
-    }
-
-    /// Durable single-report ingest (the v2 `Report` op and the v1
-    /// text `REPORT` line): journaled as a one-report batch.
-    pub fn ingest_report<P: PolicyCore>(
-        &self,
-        engine: &ShardedEngine<P>,
-        report: &WireReport<'_>,
-        obs: Option<&mut Tracer>,
-    ) -> io::Result<()> {
-        let mut buf = self.ingest.lock();
-        buf.clear();
-        encode_report_batch(std::slice::from_ref(report), &mut buf);
-        self.append(&buf)?;
-        engine.ingest_obs(report.app, report.target, report.func_ms, report.x86_load, obs);
-        Ok(())
-    }
-
-    /// Durable seq-stamped batch ingest — the restart-safe
-    /// exactly-once path. Fresh batches are journaled (one atomic
-    /// `SeqBatch` record: reports + advance together) before they are
-    /// applied or acked; replays journal a `ReplayNote` so the dedup
-    /// count survives a restart too.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ingest_seq_batch<P: PolicyCore>(
-        &self,
-        engine: &ShardedEngine<P>,
-        sessions: &SessionTable,
-        session: u64,
-        seq: u64,
-        scratch: &mut crate::engine::BatchScratch,
-        reports: &[WireReport<'_>],
-        obs: Option<&mut Tracer>,
-    ) -> io::Result<DurableSeqOutcome> {
-        let mut buf = self.ingest.lock();
-        match sessions.advance(session, seq) {
-            None => Ok(DurableSeqOutcome::Rejected),
-            Some(SeqOutcome::Replay) => {
-                buf.clear();
-                encode_replay_note(session, seq, &mut buf);
-                self.append(&buf)?;
-                Ok(DurableSeqOutcome::Replay)
-            }
-            Some(SeqOutcome::Fresh) => {
-                buf.clear();
-                encode_seq_batch(session, seq, reports, &mut buf);
-                let journaled = self.append(&buf);
-                // The mark already advanced: apply regardless, so a
-                // journal failure degrades durability but never drops
-                // a batch the dedup path will refuse to re-ingest.
-                // The surfaced error tells the client the disk is
-                // sick; its retry dedups cleanly against the mark.
-                let n = engine.report_batch_wire_obs(scratch, reports, obs);
-                journaled?;
-                Ok(DurableSeqOutcome::Fresh(n))
-            }
-        }
-    }
-
-    /// The engine flush sink's target: journals one flush's post-apply
-    /// row deltas. Called with a shard state lock held — touches only
-    /// the leaf WAL lock, and is best-effort (a delta journaling error
-    /// must not fail the flush; recovery rebuilds state from report
-    /// records, not deltas).
-    pub fn note_row_deltas(&self, shard: u32, rows: &[TableEntry]) {
-        let mut buf = Vec::with_capacity(64 + rows.len() * 48);
-        encode_row_deltas(shard, rows, &mut buf);
-        let _ = self.append(&buf);
+    /// Takes the ingest lock for one request; see [`Journal`].
+    pub(crate) fn journal(&self) -> Journal<'_> {
+        Journal { dur: self, buf: self.ingest.lock() }
     }
 
     /// Maintenance heartbeat: drives `interval_ms` fsyncs and periodic
@@ -368,6 +278,47 @@ impl Durability {
     }
 }
 
+/// One request's hold on the journal: the `ingest` lock plus its
+/// reusable record buffer. The daemon takes it before the request's
+/// session dedup and drops it after the engine applied the reports, so
+/// WAL order equals apply order.
+pub(crate) struct Journal<'a> {
+    dur: &'a Durability,
+    buf: MutexGuard<'a, Vec<u8>>,
+}
+
+impl Journal<'_> {
+    /// Logs one report-ingest request given its `(session, seq)` stamp
+    /// and the session dedup `outcome`: an unsessioned batch as a
+    /// `ReportBatch`, a fresh sessioned one as a `SeqBatch` (reports
+    /// and mark advance in one record), a deduped one as a
+    /// `ReplayNote` (so the dedup count survives a restart). A batch
+    /// whose session was refused (`outcome` = `None`) logs nothing.
+    ///
+    /// # Errors
+    ///
+    /// The WAL append's I/O error; the caller must not ack the batch.
+    pub(crate) fn append(
+        &mut self,
+        stamp: Option<(u64, u64)>,
+        outcome: Option<SeqOutcome>,
+        reports: &[WireReport<'_>],
+    ) -> io::Result<()> {
+        let Some(outcome) = outcome else { return Ok(()) };
+        self.buf.clear();
+        match (stamp, outcome) {
+            (None, _) => encode_report_batch(reports, &mut self.buf),
+            (Some((session, seq)), SeqOutcome::Fresh) => {
+                encode_seq_batch(session, seq, reports, &mut self.buf);
+            }
+            (Some((session, seq)), SeqOutcome::Replay) => {
+                encode_replay_note(session, seq, &mut self.buf);
+            }
+        }
+        self.dur.append(&self.buf).map(drop)
+    }
+}
+
 fn invalid_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -408,18 +359,6 @@ fn encode_replay_note(session: u64, seq: u64, out: &mut Vec<u8>) {
     out.push(REC_REPLAY_NOTE);
     out.extend_from_slice(&session.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
-}
-
-fn encode_row_deltas(shard: u32, rows: &[TableEntry], out: &mut Vec<u8>) {
-    out.push(REC_ROW_DELTAS);
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for row in rows {
-        put_str(&row.app, out);
-        put_str(&row.kernel, out);
-        out.extend_from_slice(&row.fpga_thr.to_le_bytes());
-        out.extend_from_slice(&row.arm_thr.to_le_bytes());
-    }
 }
 
 /// Bounds-checked little-endian reader over a record payload.
@@ -506,9 +445,8 @@ fn replay_record<P: PolicyCore>(
             // own replayed_hwm dedups repeat notes and snapshots.
             let _ = sessions.advance(session, seq);
         }
-        // Row deltas feed downstream consumers, not recovery: the
-        // table is rebuilt from the report records themselves.
-        REC_ROW_DELTAS => {}
+        // Tag 3 (retired `RowDeltas`) and unknown tags are skipped:
+        // the table is rebuilt from the report records themselves.
         _ => {}
     }
 }
@@ -582,8 +520,72 @@ fn restore_snapshot<P: PolicyCore>(
 #[cfg(all(test, not(feature = "model")))]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::{BatchScratch, EngineConfig, TableEntry};
     use xar_desim::{CompletionReport, DecideCtx, Decision, Target};
+    use xar_obs::Tracer;
+
+    /// What the daemon answers for one durable sessioned batch.
+    #[derive(Debug, PartialEq, Eq)]
+    enum DurableSeqOutcome {
+        Fresh(usize),
+        Replay,
+        Rejected,
+    }
+
+    /// The daemon's durable ingest steps (session dedup → journal →
+    /// apply, under one [`Journal`]) without the wire around them.
+    impl Durability {
+        #[allow(clippy::too_many_arguments)]
+        fn ingest_seq_batch<P: PolicyCore>(
+            &self,
+            engine: &ShardedEngine<P>,
+            sessions: &SessionTable,
+            session: u64,
+            seq: u64,
+            scratch: &mut BatchScratch,
+            reports: &[WireReport<'_>],
+            obs: Option<&mut Tracer>,
+        ) -> io::Result<DurableSeqOutcome> {
+            let mut journal = self.journal();
+            let outcome = sessions.advance(session, seq);
+            let logged = journal.append(Some((session, seq)), outcome, reports);
+            match outcome {
+                None => Ok(DurableSeqOutcome::Rejected),
+                Some(SeqOutcome::Replay) => logged.map(|()| DurableSeqOutcome::Replay),
+                Some(SeqOutcome::Fresh) => {
+                    let n = engine.report_batch_wire_obs(scratch, reports, obs);
+                    logged.map(|()| DurableSeqOutcome::Fresh(n))
+                }
+            }
+        }
+
+        fn ingest_batch<P: PolicyCore>(
+            &self,
+            engine: &ShardedEngine<P>,
+            scratch: &mut BatchScratch,
+            reports: &[WireReport<'_>],
+            obs: Option<&mut Tracer>,
+        ) -> io::Result<usize> {
+            let mut journal = self.journal();
+            journal.append(None, Some(SeqOutcome::Fresh), reports)?;
+            Ok(engine.report_batch_wire_obs(scratch, reports, obs))
+        }
+
+        fn ingest_report<P: PolicyCore>(
+            &self,
+            engine: &ShardedEngine<P>,
+            report: &WireReport<'_>,
+            obs: Option<&mut Tracer>,
+        ) -> io::Result<()> {
+            self.ingest_batch(
+                engine,
+                &mut BatchScratch::default(),
+                std::slice::from_ref(report),
+                obs,
+            )
+            .map(drop)
+        }
+    }
 
     /// Toy policy: counts per-app report totals (as `fpga_thr`) so
     /// recovered state is directly observable, with full save/load.
@@ -746,31 +748,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Tag 3 (`RowDeltas`) is no longer written, but older WALs hold
+    /// it: one written between real batch records must be skipped on
+    /// replay, and recovery must restore the same table.
     #[test]
-    fn flush_sink_row_deltas_are_journaled_but_not_replayed() {
+    fn retired_row_deltas_records_are_skipped_on_replay() {
         let dir = tmp("deltas");
-        let appended;
+        let before;
         {
-            let e = Arc::new(engine());
+            let e = engine();
             let sessions = SessionTable::new(8);
             let (d, _) = Durability::open(cfg(&dir), &e, &sessions).unwrap();
-            let d = Arc::new(d);
-            let sink_d = d.clone();
-            e.set_flush_sink(Box::new(move |shard, rows| sink_d.note_row_deltas(shard, rows)));
             let mut scratch = Default::default();
-            // batch=2 ⇒ the second alpha report triggers a flush whose
-            // deltas hit the sink (while a shard lock is held — this
-            // also exercises the ingest→state→wal lock order).
-            d.ingest_batch(&e, &mut scratch, &[wire("alpha"), wire("alpha")], None).unwrap();
-            e.flush();
-            appended = d.stats().wal_appends;
-            assert!(appended >= 2, "batch record + at least one delta record");
+            d.ingest_batch(&e, &mut scratch, &[wire("alpha"), wire("beta")], None).unwrap();
+            // The legacy layout: tag, shard, row count, then rows of
+            // (app, kernel, fpga_thr, arm_thr), with values no report
+            // would produce.
+            let mut deltas = vec![3u8];
+            deltas.extend_from_slice(&0u32.to_le_bytes());
+            deltas.extend_from_slice(&1u32.to_le_bytes());
+            put_str("alpha", &mut deltas);
+            put_str("", &mut deltas);
+            deltas.extend_from_slice(&99u32.to_le_bytes());
+            deltas.extend_from_slice(&99u32.to_le_bytes());
+            d.wal.lock().append(&deltas).unwrap();
+            d.ingest_batch(&e, &mut scratch, &[wire("alpha")], None).unwrap();
+            before = e.table();
         }
         let e = engine();
         let sessions = SessionTable::new(8);
         let (_d, rec) = Durability::open(cfg(&dir), &e, &sessions).unwrap();
-        assert_eq!(rec.replayed_records, appended, "all records replayed (deltas skipped inside)");
+        assert_eq!(rec.replayed_records, 3, "two batch records and the skipped RowDeltas");
         let table = e.table();
+        assert_eq!(table, before);
         assert_eq!(table.iter().find(|t| t.app == "alpha").map(|t| t.fpga_thr), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }

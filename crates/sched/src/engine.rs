@@ -42,7 +42,7 @@ use crate::wire::{WireQuery, WireReport};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Target};
 use xar_obs::{Event, Tracer};
@@ -125,9 +125,9 @@ pub trait PolicyCore: Send + 'static {
     /// The current threshold rows (for TABLE snapshots).
     fn entries(&self) -> Vec<TableEntry>;
 
-    /// The current row for one app, if present — the flush sink's
-    /// per-batch delta lookup. The default scans [`PolicyCore::entries`];
-    /// policies with an indexed table should override it.
+    /// The current row for one app, if present. The default scans
+    /// [`PolicyCore::entries`]; policies with an indexed table should
+    /// override it.
     fn entry(&self, app: &str) -> Option<TableEntry> {
         self.entries().into_iter().find(|e| e.app == app)
     }
@@ -148,13 +148,6 @@ pub trait PolicyCore: Send + 'static {
         Err("policy does not support state snapshots".into())
     }
 }
-
-/// Observer of flush-publish row deltas: called with the shard index
-/// and the post-apply rows of every app a flushed batch touched,
-/// while the shard's state lock is held (deltas for one shard are
-/// therefore emitted in apply order). The durability layer registers
-/// one to journal deltas for downstream replication.
-pub type FlushSink = Box<dyn Fn(u32, &[TableEntry]) + Send + Sync>;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -243,10 +236,6 @@ struct Shard<P: PolicyCore> {
 pub struct ShardedEngine<P: PolicyCore> {
     shards: Vec<Shard<P>>,
     batch: usize,
-    /// Optional flush-delta observer, set once (by the durability
-    /// layer) before traffic starts. Costs one `OnceLock` load per
-    /// flush when unset — nothing on the decide path.
-    sink: OnceLock<FlushSink>,
 }
 
 impl<P: PolicyCore> ShardedEngine<P> {
@@ -265,13 +254,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
                 metrics: ShardMetrics::default(),
             })
             .collect();
-        ShardedEngine { shards, batch: batch.max(1), sink: OnceLock::new() }
-    }
-
-    /// Registers the flush-delta observer. At most one per engine, set
-    /// before serving traffic; a second registration is ignored.
-    pub fn set_flush_sink(&self, sink: FlushSink) {
-        let _ = self.sink.set(sink);
+        ShardedEngine { shards, batch: batch.max(1) }
     }
 
     /// Number of shards.
@@ -525,19 +508,6 @@ impl<P: PolicyCore> ShardedEngine<P> {
         let publish_ns = publish_start.elapsed().as_nanos() as u64;
         shard.metrics.record_batch(batch.len());
         shard.metrics.record_flush_ns(apply_ns, publish_ns);
-        // Emit post-apply row deltas for the apps this batch touched,
-        // still under the state lock so one shard's deltas reach the
-        // sink in apply order. Rare (flush cadence) and skipped
-        // entirely when no sink is registered.
-        if let Some(sink) = self.sink.get() {
-            let mut apps: Vec<&Arc<str>> = batch.iter().map(|r| &r.app).collect();
-            apps.sort_unstable();
-            apps.dedup();
-            let rows: Vec<TableEntry> = apps.into_iter().filter_map(|a| state.entry(a)).collect();
-            if !rows.is_empty() {
-                sink(idx as u32, &rows);
-            }
-        }
         if let Some(tr) = obs {
             tr.emit(Event::FlushPublish {
                 shard: idx as u32,
@@ -616,9 +586,17 @@ impl<P: PolicyCore> ShardedEngine<P> {
         self.shards.iter().map(|s| s.metrics.snapshot()).collect()
     }
 
-    /// Whole-engine metric totals.
+    /// Whole-engine metric totals. The decide-latency quantiles come
+    /// from the bucket-exact merged histogram ([`Self::obs_total`]),
+    /// not from the per-shard quantiles, whose maximum is biased high.
     pub fn metrics_total(&self) -> MetricsSnapshot {
-        self.metrics().into_iter().fold(MetricsSnapshot::default(), MetricsSnapshot::merge)
+        let mut total =
+            self.metrics().into_iter().fold(MetricsSnapshot::default(), MetricsSnapshot::merge);
+        let decide = self.obs_total().decide;
+        total.lat_samples = decide.count();
+        total.p50_ns = decide.percentile(0.50);
+        total.p99_ns = decide.percentile(0.99);
+        total
     }
 
     /// Per-shard full latency distributions (one histogram snapshot per
@@ -987,6 +965,26 @@ mod tests {
         let other: u64 =
             per_shard.iter().enumerate().filter(|(i, _)| *i != idx).map(|(_, m)| m.decides).sum();
         assert_eq!(other, 0);
+    }
+
+    /// The legacy `Stats` p50/p99 come from the merged histogram: a
+    /// busy fast shard next to one slow sample must not report the
+    /// slow shard's median as the engine's, as a max over per-shard
+    /// quantiles would.
+    #[test]
+    fn metrics_total_quantiles_come_from_the_merged_histogram() {
+        let e = engine(2, 1);
+        for _ in 0..99 {
+            e.shards[0].metrics.record_decide(Target::X86, false, 100);
+        }
+        e.shards[1].metrics.record_decide(Target::X86, false, 1_000_000);
+        let max_shard_p50 = e.metrics().iter().map(|m| m.p50_ns).max().unwrap();
+        let merged = e.obs_total().decide;
+        let total = e.metrics_total();
+        assert_eq!(total.lat_samples, 100);
+        assert_eq!(total.p50_ns, merged.percentile(0.50));
+        assert_eq!(total.p99_ns, merged.percentile(0.99));
+        assert!(total.p50_ns < max_shard_p50, "{} vs {max_shard_p50}", total.p50_ns);
     }
 
     #[test]

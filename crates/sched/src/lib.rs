@@ -2,9 +2,9 @@
 //!
 //! The paper's userspace scheduler (§3.2) is a thread-per-client TCP
 //! server speaking a line-oriented text protocol behind one global
-//! policy mutex — faithful to the paper, and reproduced as such in
-//! `xar-core`'s `server` module. This crate is the same scheduler
-//! grown up for datacenter service:
+//! policy mutex. This crate is the same scheduler grown up for
+//! datacenter service (`xar-core`'s `SchedulerServer` is a one-worker
+//! instance of it):
 //!
 //! * [`wire`] — **binary wire protocol v2**: length-prefixed frames
 //!   (`Decide` / `Report` / `BatchReport` / `TableSnapshot` / `Ping` /
@@ -73,7 +73,7 @@ pub mod wire;
 pub use adapter::ShardedPolicy;
 pub use backoff::Backoff;
 pub use client::{ResilientClient, ResilientConfig, V2Client};
-pub use dur::{Durability, DurabilityConfig, DurableSeqOutcome, FsyncPolicy, RecoveryStats};
+pub use dur::{Durability, DurabilityConfig, FsyncPolicy, RecoveryStats};
 pub use engine::{
     shard_of, BatchScratch, DecideHandle, DecideScratch, EngineConfig, PolicyCore, ReportOwned,
     ShardedEngine, TableEntry,

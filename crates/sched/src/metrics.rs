@@ -303,7 +303,10 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Element-wise sum (for whole-engine totals).
+    /// Element-wise sum of the counters. The quantiles take the max,
+    /// only an upper bound on the merged quantile; whole-engine totals
+    /// ([`crate::ShardedEngine::metrics_total`]) recompute them from
+    /// the merged histogram.
     pub fn merge(self, other: MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
             decides: self.decides + other.decides,

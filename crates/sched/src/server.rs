@@ -25,14 +25,16 @@
 //!
 //! The first bytes of a connection select the protocol: the v2
 //! handshake magic, or anything else for the legacy v1 text protocol
-//! (see [`crate::wire`] for both).
+//! (see [`crate::wire`] for both). Both decode into one [`Request`]
+//! and run through one chain (`serve`); the statistics replies and
+//! the v1 observability commands live in the `control` submodule.
 
-use crate::dur::{Durability, DurabilityConfig, DurableSeqOutcome, RecoveryStats};
+use crate::dur::{Durability, DurabilityConfig, RecoveryStats};
 use crate::engine::{BatchScratch, DecideHandle, DecideScratch, PolicyCore, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
-use crate::wire::{self, DaemonStats, Request, Response, WireEntry};
+use crate::wire::{self, Request, Response, V1Request, WireEntry, WireReport};
+use control::SeriesState;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -42,18 +44,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xar_desim::DecideCtx;
-use xar_obs::{Event as TraceEvent, EventCounters, SeriesRing, TraceLog, TraceReader, Tracer};
+use xar_obs::{Event as TraceEvent, EventCounters, TraceLog, TraceReader, Tracer};
 use xar_reactor::{BackendKind, Event, Interest, Reactor, Token, Waker};
+
+mod control;
 
 /// Connection-layer tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads multiplexing the connections.
     pub workers: usize,
-    /// Legacy knob from the level-polling connection layer; the
-    /// readiness-driven workers never poll idle, so it is ignored.
-    /// Kept so existing configs keep compiling.
-    pub poll_interval: Duration,
     /// Readiness-notification backend (epoll on Linux by default; the
     /// portable `poll(2)` fallback behind the same trait).
     pub backend: BackendKind,
@@ -142,7 +142,7 @@ pub struct ServerConfig {
     /// off rather than timing out. 0 (the default) disables it.
     pub shed_outbuf_bytes: usize,
     /// Overload shedding on the latency SLO: when the windowed decide
-    /// p99 (over the last [`RATE_WINDOW_SECS`] of the time series)
+    /// p99 (over the last 10 s of the time series, the `RATE` window)
     /// crosses this many nanoseconds, workload requests daemon-wide
     /// are answered `R_BUSY` until the window recovers. Re-evaluated
     /// on each worker's maintenance tick; needs the series layer
@@ -178,7 +178,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            poll_interval: Duration::from_micros(500),
             backend: BackendKind::default(),
             outbuf_high_water: 256 * 1024,
             close_linger: Duration::from_secs(5),
@@ -203,17 +202,9 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// Historical latency-tuned config: workers used to busy-yield
-    /// instead of sleeping. The reactor made the trade-off obsolete —
-    /// the default config now blocks on readiness and matches the
-    /// busy-yield round-trip latency — so this is a no-op alias kept
-    /// for API compatibility.
-    pub fn low_latency(workers: usize) -> ServerConfig {
-        ServerConfig { workers, ..ServerConfig::default() }
-    }
-}
-
+/// A connection's protocol generation, which also picks the encoder
+/// for its replies.
+#[derive(Clone, Copy)]
 enum Proto {
     /// Not enough bytes seen to classify the peer yet.
     Undetermined,
@@ -296,72 +287,6 @@ impl Quarantine {
     }
 }
 
-/// Counter series carried by the per-tick time-series rings, in ring
-/// index order. The names are the query surface of
-/// `SERIES <name> <secs>` and `RATE <name>`.
-const SERIES_COUNTERS: &[&str] = &[
-    "decides",
-    "reports",
-    "protocol_errors",
-    "backpressure_pauses",
-    "trace_events",
-    "reaped_conns",
-];
-
-/// Histogram op classes in the rings, in ring index order — the same
-/// classes (and order) `HistDump` ships. Queried as
-/// `SERIES <class>_p50_ns <secs>` / `SERIES <class>_p99_ns <secs>`.
-const SERIES_HISTS: &[&str] = &["decide", "decide_batch", "report_batch", "flush_publish"];
-
-/// Window of the `RATE <name>` command, in seconds.
-const RATE_WINDOW_SECS: u64 = 10;
-
-/// Window of the `DUMP` windowed section, in seconds.
-const DUMP_WINDOW_SECS: u64 = 60;
-
-/// The daemon-wide time-series state every worker records into:
-/// cumulative samples of the fleet-relevant counters and op-class
-/// histograms, one per `series_tick`. Shared behind an `Arc` because
-/// any worker's maintenance tick may be the one that lands on a slot
-/// boundary first; the `last` CAS gates so exactly one records it.
-struct SeriesState {
-    start: Instant,
-    tick: Duration,
-    /// Highest tick index recorded so far.
-    last: AtomicU64,
-    ring: Mutex<SeriesRing>,
-}
-
-impl SeriesState {
-    fn new(config: &ServerConfig) -> Option<Arc<SeriesState>> {
-        if config.series_slots == 0 || config.series_tick.is_zero() {
-            return None;
-        }
-        Some(Arc::new(SeriesState {
-            start: Instant::now(),
-            tick: config.series_tick,
-            last: AtomicU64::new(0),
-            ring: Mutex::new(SeriesRing::new(
-                config.series_slots,
-                SERIES_COUNTERS.len(),
-                SERIES_HISTS.len(),
-            )),
-        }))
-    }
-
-    /// A window expressed in seconds, converted to ring ticks
-    /// (rounded up; at least one).
-    fn ticks_for_secs(&self, secs: u64) -> u64 {
-        let tick_ns = self.tick.as_nanos().max(1);
-        ((secs as u128 * 1_000_000_000).div_ceil(tick_ns)).max(1) as u64
-    }
-
-    /// Converts a ring per-tick rate into a per-second rate.
-    fn per_sec(&self, per_tick: f64) -> f64 {
-        per_tick / self.tick.as_secs_f64()
-    }
-}
-
 /// The per-worker slice of server state, threaded (mutably — the
 /// decide handle and batch scratch are worker-owned) through the
 /// connection-servicing call chain.
@@ -413,39 +338,6 @@ impl<P: PolicyCore> WorkerCtx<P> {
         self.trace_log.drain_from(&mut self.trace_reader);
     }
 
-    /// Records a time-series sample if a new tick has begun since the
-    /// last recorded one. Called from every worker's maintenance tick
-    /// and opportunistically by the series queries, so an idle daemon
-    /// still answers them. CAS-gated: of the workers racing on a slot
-    /// boundary exactly one records it; the rest see the bumped `last`
-    /// and do nothing. Cheap when not due — a clock read and one
-    /// relaxed load.
-    fn advance_series(&self) {
-        let Some(s) = &self.series else { return };
-        let tick = (s.start.elapsed().as_nanos() / s.tick.as_nanos().max(1)) as u64;
-        let last = s.last.load(Ordering::Relaxed);
-        if tick <= last
-            || s.last.compare_exchange(last, tick, Ordering::Relaxed, Ordering::Relaxed).is_err()
-        {
-            return;
-        }
-        let m = self.engine.metrics_total();
-        let o = self.engine.obs_total();
-        let ev = self.tracer.counters();
-        let r = Ordering::Relaxed;
-        // Index order pins to SERIES_COUNTERS / SERIES_HISTS.
-        let counters = [
-            m.decides,
-            m.reports,
-            ev.proto_errors.load(r),
-            ev.pauses.load(r),
-            ev.emitted(),
-            self.counters.reaped.load(r),
-        ];
-        let hists = [o.decide, o.decide_batch, o.report_batch, o.flush_publish];
-        s.ring.lock().unwrap().record(tick, &counters, &hists);
-    }
-
     /// Re-evaluates the SLO half of overload shedding from the
     /// windowed decide p99. Called from the maintenance tick, so the
     /// flag tracks the SLO within one `flush_interval`; any worker's
@@ -461,7 +353,7 @@ impl<P: PolicyCore> WorkerCtx<P> {
             .ring
             .lock()
             .unwrap()
-            .windowed_hist(0, s.ticks_for_secs(RATE_WINDOW_SECS))
+            .windowed_hist(0, s.ticks_for_secs(control::RATE_WINDOW_SECS))
             .is_some_and(|h| h.percentile(0.99) > self.config.shed_decide_p99_ns);
         self.shed.store(over, Ordering::Relaxed);
     }
@@ -639,19 +531,12 @@ impl<P: PolicyCore> Server<P> {
         // Startup recovery runs to completion before any worker (or the
         // acceptor) exists: early connections wait in the kernel
         // backlog and are first served against fully recovered state.
-        // The flush sink registers only after recovery, so replayed
-        // reports cannot journal row deltas back into the WAL.
         let mut recovery = RecoveryStats::default();
         let dur = match &config.durability {
             Some(dcfg) => {
                 let (d, rec) = Durability::open(dcfg.clone(), &engine, &sessions)?;
                 recovery = rec;
-                let d = Arc::new(d);
-                let sink = d.clone();
-                engine.set_flush_sink(Box::new(move |shard, rows| {
-                    sink.note_row_deltas(shard, rows);
-                }));
-                Some(d)
+                Some(Arc::new(d))
             }
             None => None,
         };
@@ -1384,59 +1269,224 @@ fn shedding<P: PolicyCore>(conn: &Conn, ctx: &WorkerCtx<P>) -> bool {
 /// high-water cap ([`pump`]'s loop resumes once the backlog drains).
 fn process_v2<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usize) {
     let cap = ctx.config.outbuf_high_water;
+    // Decoded requests borrow the input while the chain appends to the
+    // connection's output, so the input is held out of `conn` meanwhile.
+    let mut inbuf = std::mem::take(&mut conn.inbuf);
     // Track an offset and drain once: per-frame draining would memmove
     // the remaining buffer for every frame of a pipelined burst.
     let mut at = 0;
-    loop {
-        if conn.out_pending() > cap {
-            break;
-        }
-        let (consumed, range) = match wire::frame_in(&conn.inbuf[at..]) {
+    while conn.out_pending() <= cap {
+        let (consumed, range) = match wire::frame_in(&inbuf[at..]) {
             Ok(Some(f)) => f,
             Ok(None) => break,
             Err(_) => {
-                wire::encode_response(&Response::Err("oversized frame"), &mut conn.outbuf);
-                note_proto_error(conn, ctx, slot);
+                serve(conn, ctx, slot, Err("oversized frame".into()));
                 conn.closed = true;
                 // Discard the poisoned input: re-scanning it on a later
                 // pump would emit the diagnostic again.
-                conn.inbuf.clear();
+                inbuf.clear();
                 at = 0;
                 break;
             }
         };
-        match wire::decode_request(&conn.inbuf[at + range.start..at + range.end]) {
-            Ok(req) => {
-                if sheddable(&req) && shedding(conn, ctx) {
-                    wire::encode_response(
-                        &Response::Busy { retry_after_ms: ctx.config.shed_retry_after_ms },
-                        &mut conn.outbuf,
-                    );
-                    ctx.tracer.emit(TraceEvent::ShedBusy { conn: slot as u64 });
-                } else {
-                    handle_v2(&req, ctx, &mut conn.outbuf);
-                }
-            }
-            Err(e) => {
-                wire::encode_response(&Response::Err(&e.to_string()), &mut conn.outbuf);
-                if note_proto_error(conn, ctx, slot) {
-                    conn.inbuf.clear();
-                    at = 0;
-                    break;
-                }
-            }
+        let payload = &inbuf[at + range.start..at + range.end];
+        if serve(conn, ctx, slot, wire::decode_request(payload).map_err(|e| e.to_string())) {
+            inbuf.clear();
+            at = 0;
+            break;
         }
         at += consumed;
     }
-    conn.inbuf.drain(..at);
+    inbuf.drain(..at);
+    conn.inbuf = inbuf;
 }
 
-/// Error-reply text for a failed WAL append: the report was NOT acked
-/// and (for unsessioned ingest) not applied — the disk is refusing
-/// writes, which the operator must see.
+/// Handles buffered complete lines of the legacy v1 text protocol,
+/// pausing at the outbuf high-water cap ([`pump`]'s loop resumes once
+/// the backlog drains). `DECIDE`, `REPORT` and `TABLE` decode into the
+/// same [`Request`]s as their v2 frames and run through [`serve`]; the
+/// observability commands answer from the control plane, and `QUIT`
+/// ends the session.
+fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usize) {
+    let cap = ctx.config.outbuf_high_water;
+    // Held out of `conn` and offset-tracked like process_v2: one drain
+    // at the end, no per-line allocation or memmove.
+    let mut inbuf = std::mem::take(&mut conn.inbuf);
+    let mut at = 0;
+    let mut capped = false;
+    while let Some(nl) = inbuf[at..].iter().position(|&b| b == b'\n') {
+        if conn.out_pending() > cap {
+            capped = true;
+            break;
+        }
+        let line = &inbuf[at..at + nl];
+        at += nl + 1;
+        let out = &mut conn.outbuf;
+        let decoded = match std::str::from_utf8(line).ok().and_then(wire::parse_v1_line) {
+            None => Err(String::new()),
+            Some(V1Request::Decide { app, kernel, x86_load, kernel_resident }) => {
+                Ok(Request::Decide {
+                    app,
+                    kernel,
+                    // Wraps exactly like Algorithm 2's own `as u32`.
+                    x86_load: x86_load as u32,
+                    arm_load: 0,
+                    kernel_resident,
+                    device_ready: true,
+                })
+            }
+            Some(V1Request::Report { app, target, func_ms, x86_load }) => {
+                let x86_load = x86_load.min(u32::MAX as u64) as u32;
+                Ok(Request::Report(wire::WireReport { app, target, func_ms, x86_load }))
+            }
+            Some(V1Request::Table) => Ok(Request::Table),
+            Some(V1Request::Dump) => {
+                control::dump(ctx, out);
+                continue;
+            }
+            Some(V1Request::Trace { n }) => {
+                control::trace(ctx, n, out);
+                continue;
+            }
+            Some(V1Request::Series { name, secs }) => {
+                control::series(ctx, name, secs, out);
+                continue;
+            }
+            Some(V1Request::Rate { name }) => {
+                control::rate(ctx, name, out);
+                continue;
+            }
+            Some(V1Request::Quit) => {
+                conn.closed = true;
+                // Discard anything pipelined after QUIT: the client
+                // ended the session, so later lines must not execute.
+                inbuf.clear();
+                at = 0;
+                break;
+            }
+        };
+        if serve(conn, ctx, slot, decoded) {
+            inbuf.clear();
+            at = 0;
+            break;
+        }
+    }
+    inbuf.drain(..at);
+    conn.inbuf = inbuf;
+    // A v1 peer streaming bytes with no newline must not grow the
+    // buffer without bound. (Skipped while capped: the backlog is then
+    // complete-but-unprocessed lines, not one runaway line.)
+    if !capped && conn.inbuf.len() > wire::MAX_V1_LINE {
+        serve(conn, ctx, slot, Err(String::new()));
+        conn.closed = true;
+        // Discard the runaway line: re-scanning it on a later pump
+        // would emit the diagnostic again.
+        conn.inbuf.clear();
+    }
+}
+
+/// Error reply for a failed WAL append: the report was NOT acked and
+/// (for unsessioned ingest) not applied — the disk is refusing writes,
+/// which the operator must see.
 const DUR_ERR: &str = "durability journal write failed";
 
-fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut Vec<u8>) {
+/// Error reply when the session table refuses a session id.
+const SESSION_ERR: &str = "session rejected (id 0 or table full)";
+
+/// The request path. A v2 frame and a v1 `DECIDE`/`REPORT`/`TABLE`
+/// line both arrive here decoded into a [`Request`] (or the reason
+/// they did not decode), and this is the one place that orders the
+/// steps every request takes:
+///
+/// 1. **protocol errors**: a decode failure is answered and counted,
+///    and may quarantine the peer;
+/// 2. **shed**: under overload, v2 workload requests are answered
+///    `R_BUSY` (v1 has no busy reply and is never shed);
+/// 3. **session dedup**: a sessioned report batch is checked against
+///    its session's high-water mark;
+/// 4. **journal**: a durable daemon logs the ingest before applying it;
+/// 5. **engine**: decide, apply the reports, or read the table;
+/// 6. **encode**: the reply, in the connection's protocol.
+///
+/// Returns `true` when the peer was quarantined; the caller must then
+/// discard the rest of its input.
+fn serve<P: PolicyCore>(
+    conn: &mut Conn,
+    ctx: &mut WorkerCtx<P>,
+    slot: usize,
+    decoded: Result<Request<'_>, String>,
+) -> bool {
+    let req = match decoded {
+        Ok(req) => req,
+        Err(msg) => {
+            encode(conn.proto, &Response::Err(&msg), &mut conn.outbuf);
+            return note_proto_error(conn, ctx, slot);
+        }
+    };
+    if matches!(conn.proto, Proto::V2) && sheddable(&req) && shedding(conn, ctx) {
+        let busy = Response::Busy { retry_after_ms: ctx.config.shed_retry_after_ms };
+        encode(conn.proto, &busy, &mut conn.outbuf);
+        ctx.tracer.emit(TraceEvent::ShedBusy { conn: slot as u64 });
+        return false;
+    }
+    let Some((stamp, reports)) = ingest_parts(&req) else {
+        execute(ctx, &req, conn.proto, &mut conn.outbuf);
+        return false;
+    };
+    // Report ingest. A durable daemon holds its ingest lock from the
+    // dedup through the apply, so WAL order is apply order and a
+    // batch's mark advance lands in the same record as its reports.
+    let dur = ctx.dur.clone();
+    let mut journal = dur.as_deref().map(Durability::journal);
+    let outcome = match stamp {
+        Some((session, seq)) => ctx.sessions.advance(session, seq),
+        None => Some(SeqOutcome::Fresh),
+    };
+    let logged = journal.as_mut().map_or(Ok(()), |j| j.append(stamp, outcome, reports));
+    // A sessioned batch is applied even if its record failed to reach
+    // the log: its mark already advanced, so the client's retry would
+    // be deduped instead of ingested.
+    let applied = if outcome == Some(SeqOutcome::Fresh) && (logged.is_ok() || stamp.is_some()) {
+        ctx.engine.report_batch_wire_obs(&mut ctx.scratch, reports, Some(&mut ctx.tracer))
+    } else {
+        0
+    };
+    drop(journal);
+    let resp = match (outcome, logged) {
+        (None, _) => Response::Err(SESSION_ERR),
+        (Some(_), Err(_)) => Response::Err(DUR_ERR),
+        // `Ack(0)` for a replay is how a client tells a dedup from a
+        // fresh ingest.
+        (Some(_), Ok(())) => Response::Ack(applied as u32),
+    };
+    encode(conn.proto, &resp, &mut conn.outbuf);
+    false
+}
+
+/// A sessioned batch's `(session, seq)`; `None` for unsessioned ingest.
+type Stamp = Option<(u64, u64)>;
+
+/// The reports an ingest request carries, with its stamp; `None` for
+/// every other request.
+fn ingest_parts<'r>(req: &'r Request<'r>) -> Option<(Stamp, &'r [WireReport<'r>])> {
+    match req {
+        Request::Report(r) => Some((None, std::slice::from_ref(r))),
+        Request::BatchReport(rs) => Some((None, rs)),
+        Request::BatchReportSeq { session, seq, reports } => {
+            Some((Some((*session, *seq)), reports))
+        }
+        _ => None,
+    }
+}
+
+/// The engine and control-plane step for every request that is not a
+/// report ingest, encoding the reply in the connection's protocol.
+fn execute<P: PolicyCore>(
+    ctx: &mut WorkerCtx<P>,
+    req: &Request<'_>,
+    proto: Proto,
+    out: &mut Vec<u8>,
+) {
     match req {
         Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready } => {
             // The worker's cached handle: wait-free against publishes.
@@ -1452,15 +1502,12 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
                 },
                 Some(&mut ctx.tracer),
             );
-            wire::encode_response(
-                &Response::Decide { target: d.target, reconfigure: d.reconfigure },
-                out,
-            );
+            encode(proto, &Response::Decide { target: d.target, reconfigure: d.reconfigure }, out);
         }
         Request::DecideBatch(qs) => {
-            // Grouped once-per-batch snapshot revalidation in the
-            // engine, then the reply streams straight into the outbuf
-            // via the frame writer — no intermediate encoded Vec.
+            // v2 only. Grouped once-per-batch snapshot revalidation in
+            // the engine, then the reply streams straight into the
+            // outbuf — no intermediate encoded Vec.
             let ds = ctx.handle.decide_batch_obs(qs, &mut ctx.dscratch, Some(&mut ctx.tracer));
             let mut w = wire::DecideBatchReplyWriter::begin(out, ds.len());
             for d in ds {
@@ -1468,100 +1515,9 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
             }
             w.finish();
         }
-        Request::Report(r) => {
-            if let Some(d) = ctx.dur.clone() {
-                // Journal-then-apply: the ack is backed by the log.
-                match d.ingest_report(&ctx.engine, r, Some(&mut ctx.tracer)) {
-                    Ok(()) => wire::encode_response(&Response::Ack(1), out),
-                    Err(_) => wire::encode_response(&Response::Err(DUR_ERR), out),
-                }
-            } else {
-                // Borrowed ingest: the engine interns the app name.
-                ctx.engine.ingest_obs(
-                    r.app,
-                    r.target,
-                    r.func_ms,
-                    r.x86_load,
-                    Some(&mut ctx.tracer),
-                );
-                wire::encode_response(&Response::Ack(1), out);
-            }
-        }
-        Request::BatchReport(rs) => {
-            if let Some(d) = ctx.dur.clone() {
-                match d.ingest_batch(&ctx.engine, &mut ctx.scratch, rs, Some(&mut ctx.tracer)) {
-                    Ok(n) => wire::encode_response(&Response::Ack(n as u32), out),
-                    Err(_) => wire::encode_response(&Response::Err(DUR_ERR), out),
-                }
-            } else {
-                let n =
-                    ctx.engine.report_batch_wire_obs(&mut ctx.scratch, rs, Some(&mut ctx.tracer));
-                wire::encode_response(&Response::Ack(n as u32), out);
-            }
-        }
-        Request::HelloSession { session } => match ctx.sessions.hello(*session) {
-            Some(info) => {
-                wire::encode_response(&Response::Session { last_seq: info.last_seq }, out);
-            }
-            None => {
-                wire::encode_response(&Response::Err("session rejected (id 0 or table full)"), out);
-            }
-        },
-        Request::BatchReportSeq { session, seq, reports } => {
-            if let Some(d) = ctx.dur.clone() {
-                // The durable path stamps and journals under one
-                // ingest lock: a fresh batch's reports and high-water
-                // advance land in one atomic WAL record before the
-                // ack, so the batch counts exactly once even across a
-                // crash at any point.
-                let outcome = d.ingest_seq_batch(
-                    &ctx.engine,
-                    &ctx.sessions,
-                    *session,
-                    *seq,
-                    &mut ctx.scratch,
-                    reports,
-                    Some(&mut ctx.tracer),
-                );
-                match outcome {
-                    Ok(DurableSeqOutcome::Fresh(n)) => {
-                        wire::encode_response(&Response::Ack(n as u32), out);
-                    }
-                    Ok(DurableSeqOutcome::Replay) => {
-                        wire::encode_response(&Response::Ack(0), out);
-                    }
-                    Ok(DurableSeqOutcome::Rejected) => {
-                        wire::encode_response(
-                            &Response::Err("session rejected (id 0 or table full)"),
-                            out,
-                        );
-                    }
-                    Err(_) => wire::encode_response(&Response::Err(DUR_ERR), out),
-                }
-            } else {
-                match ctx.sessions.advance(*session, *seq) {
-                    Some(SeqOutcome::Fresh) => {
-                        let n = ctx.engine.report_batch_wire_obs(
-                            &mut ctx.scratch,
-                            reports,
-                            Some(&mut ctx.tracer),
-                        );
-                        wire::encode_response(&Response::Ack(n as u32), out);
-                    }
-                    // A batch the daemon already ingested: ack without
-                    // re-ingesting. `Ack(0)` is how the client tells a
-                    // dedup from a fresh ingest.
-                    Some(SeqOutcome::Replay) => wire::encode_response(&Response::Ack(0), out),
-                    None => wire::encode_response(
-                        &Response::Err("session rejected (id 0 or table full)"),
-                        out,
-                    ),
-                }
-            }
-        }
         Request::Table => {
             let entries = ctx.engine.table();
-            let wire_entries: Vec<WireEntry<'_>> = entries
+            let rows = entries
                 .iter()
                 .map(|e| WireEntry {
                     app: &e.app,
@@ -1570,350 +1526,30 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
                     arm_thr: e.arm_thr,
                 })
                 .collect();
-            wire::encode_response(&Response::Table(wire_entries), out);
+            encode(proto, &Response::Table(rows), out);
         }
-        Request::Ping(nonce) => {
-            wire::encode_response(&Response::Pong(*nonce), out);
-        }
-        Request::Stats => {
-            wire::encode_response(
-                &Response::Stats(DaemonStats {
-                    metrics: ctx.engine.metrics_total(),
-                    live_conns: ctx.counters.live(),
-                    reaped_conns: ctx.counters.reaped.load(Ordering::Relaxed),
-                    rejected_conns: ctx.counters.rejected.load(Ordering::Relaxed),
-                }),
-                out,
-            );
-        }
+        Request::HelloSession { session } => match ctx.sessions.hello(*session) {
+            Some(info) => encode(proto, &Response::Session { last_seq: info.last_seq }, out),
+            None => encode(proto, &Response::Err(SESSION_ERR), out),
+        },
+        Request::Ping(nonce) => encode(proto, &Response::Pong(*nonce), out),
+        Request::Stats => encode(proto, &Response::Stats(control::stats(ctx)), out),
         Request::StatsV2 => {
-            let pairs = collect_stats_v2(ctx);
-            wire::encode_response(&Response::StatsV2(wire::StatsV2 { pairs }), out);
+            let pairs = control::stats_v2(ctx);
+            encode(proto, &Response::StatsV2(wire::StatsV2 { pairs }), out);
         }
-        Request::HistDump => {
-            // Raw per-bucket counts of the merged cross-worker
-            // histograms — the same snapshots the StatsV2 quantiles
-            // are computed from, so the two scrape surfaces cannot
-            // disagree about the distributions they describe.
-            let o = ctx.engine.obs_total();
-            wire::encode_response(
-                &Response::HistDump(wire::HistDump {
-                    classes: vec![
-                        (wire::hist_class::DECIDE, o.decide.buckets.to_vec()),
-                        (wire::hist_class::DECIDE_BATCH, o.decide_batch.buckets.to_vec()),
-                        (wire::hist_class::REPORT_BATCH, o.report_batch.buckets.to_vec()),
-                        (wire::hist_class::FLUSH_PUBLISH, o.flush_publish.buckets.to_vec()),
-                    ],
-                }),
-                out,
-            );
+        Request::HistDump => encode(proto, &Response::HistDump(control::hist_dump(ctx)), out),
+        Request::Report(_) | Request::BatchReport(_) | Request::BatchReportSeq { .. } => {
+            unreachable!("report ingest runs in serve")
         }
     }
 }
 
-/// Assembles the `(tag, value)` pairs for the `StatsV2` reply. The v1
-/// `DUMP` command renders its counter lines from this same list (via
-/// [`xar_obs::render_pairs`]), so the wire op and the text endpoint
-/// cannot drift apart: a tag added here shows up on both.
-fn collect_stats_v2<P: PolicyCore>(ctx: &WorkerCtx<P>) -> Vec<(u16, u64)> {
-    use xar_obs::tags;
-    let m = ctx.engine.metrics_total();
-    let o = ctx.engine.obs_total();
-    let ev = ctx.tracer.counters();
-    let r = Ordering::Relaxed;
-    let mut pairs = vec![
-        (tags::DECIDES, m.decides),
-        (tags::REPORTS, m.reports),
-        (tags::REPORT_BATCHES, m.batches),
-        (tags::DECIDE_BATCH_FRAMES, m.decide_batches),
-        (tags::TO_ARM, m.to_arm),
-        (tags::TO_FPGA, m.to_fpga),
-        (tags::RECONFIGS, m.reconfigs),
-        (tags::LAT_SAMPLES, m.lat_samples),
-        // Quantiles from the merged cross-worker histograms — exact
-        // merges, unlike the legacy per-shard max-of-quantiles.
-        (tags::DECIDE_P50_NS, o.decide.percentile(0.50)),
-        (tags::DECIDE_P99_NS, o.decide.percentile(0.99)),
-        (tags::LIVE_CONNS, ctx.counters.live()),
-        (tags::ACCEPTED_CONNS, ctx.counters.accepted.load(r)),
-        (tags::REAPED_CONNS, ctx.counters.reaped.load(r)),
-        (tags::REJECTED_CONNS, ctx.counters.rejected.load(r)),
-        (tags::SHARDS, ctx.engine.shard_count() as u64),
-        (tags::WORKERS, ctx.config.workers.max(1) as u64),
-        (tags::TRACE_EVENTS, ev.emitted()),
-        (tags::TRACE_DROPPED, ev.dropped.load(r)),
-        (tags::SLOW_DECIDES, ev.slow_decides.load(r)),
-        (tags::BACKPRESSURE_PAUSES, ev.pauses.load(r)),
-        (tags::BACKPRESSURE_RESUMES, ev.resumes.load(r)),
-        (tags::PROTOCOL_ERRORS, ev.proto_errors.load(r)),
-        (tags::DECIDE_BATCH_P50_NS, o.decide_batch.percentile(0.50)),
-        (tags::DECIDE_BATCH_P99_NS, o.decide_batch.percentile(0.99)),
-        (tags::REPORT_BATCH_P50_NS, o.report_batch.percentile(0.50)),
-        (tags::REPORT_BATCH_P99_NS, o.report_batch.percentile(0.99)),
-        (tags::FLUSH_PUBLISH_P50_NS, o.flush_publish.percentile(0.50)),
-        (tags::FLUSH_PUBLISH_P99_NS, o.flush_publish.percentile(0.99)),
-        (tags::FLUSH_PUBLISHES, ev.flush_publishes.load(r)),
-        (tags::FLUSH_ROWS, ev.flush_rows.load(r)),
-        (tags::DAEMON_ID, ctx.config.daemon_id as u64),
-        (tags::UPTIME_SECS, ctx.started.elapsed().as_secs()),
-        (
-            tags::SERIES_SLOTS,
-            ctx.series.as_ref().map_or(0, |s| s.ring.lock().unwrap().len() as u64),
-        ),
-        (tags::ACCEPT_THROTTLES, ev.accept_throttles.load(r)),
-        (tags::SHED_BUSY, ev.shed_busy.load(r)),
-        (tags::QUARANTINES, ev.quarantines.load(r)),
-        (tags::SESSIONS_OPENED, ctx.sessions.opened_total()),
-        (tags::REPLAYED_BATCHES, ctx.sessions.replayed_total()),
-    ];
-    // Durability tags ship from every daemon so StatsV2 always covers
-    // the full registry; an in-memory daemon reads all-zero.
-    let s = ctx.dur.as_ref().map(|d| d.stats()).unwrap_or_default();
-    pairs.extend_from_slice(&[
-        (tags::WAL_APPENDS, s.wal_appends),
-        (tags::WAL_BYTES, s.wal_bytes),
-        (tags::SNAPSHOTS_WRITTEN, s.snapshots_written),
-        (tags::RECOVERY_REPLAYED_RECORDS, s.recovery_replayed_records),
-        (tags::TORN_TAIL_TRUNCATIONS, s.torn_tail_truncations),
-    ]);
-    pairs
-}
-
-/// `<class>_p50_ns` / `<class>_p99_ns` → (ring histogram index,
-/// quantile) for the `SERIES` command.
-fn parse_quantile_series(name: &str) -> Option<(usize, f64)> {
-    let (base, q) = name
-        .strip_suffix("_p50_ns")
-        .map(|b| (b, 0.50))
-        .or_else(|| name.strip_suffix("_p99_ns").map(|b| (b, 0.99)))?;
-    SERIES_HISTS.iter().position(|&c| c == base).map(|i| (i, q))
-}
-
-/// Handles buffered complete lines of the legacy v1 text protocol
-/// (`DECIDE`/`REPORT`/`TABLE`/`QUIT`, answered with
-/// `TARGET`/`OK`/table rows/`ERR`), pausing at the outbuf high-water
-/// cap ([`pump`]'s loop resumes once the backlog drains).
-fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usize) {
-    let cap = ctx.config.outbuf_high_water;
-    // Offset-tracked like process_v2: one drain at the end, no
-    // per-line allocation or memmove. The grammar is parsed by
-    // `wire::parse_v1_line`, shared with `xar-core`'s v1 server.
-    let mut at = 0;
-    let mut capped = false;
-    while let Some(nl) = conn.inbuf[at..].iter().position(|&b| b == b'\n') {
-        if conn.out_pending() > cap {
-            capped = true;
-            break;
-        }
-        let line_bytes = &conn.inbuf[at..at + nl];
-        at += nl + 1;
-        let parsed = std::str::from_utf8(line_bytes).ok().and_then(wire::parse_v1_line);
-        let Some(req) = parsed else {
-            conn.outbuf.extend_from_slice(b"ERR\n");
-            if note_proto_error(conn, ctx, slot) {
-                conn.inbuf.clear();
-                at = 0;
-                break;
-            }
-            continue;
-        };
-        match req {
-            wire::V1Request::Decide { app, kernel, x86_load, kernel_resident } => {
-                let d = ctx.handle.decide_obs(
-                    &DecideCtx {
-                        app,
-                        kernel,
-                        x86_load: x86_load as usize,
-                        arm_load: 0,
-                        kernel_resident,
-                        device_ready: true,
-                        now_ns: 0.0,
-                    },
-                    Some(&mut ctx.tracer),
-                );
-                // Straight into the outbuf: the v1 fallback allocates
-                // no per-reply String.
-                wire::v1_decide_reply_into(&d, &mut conn.outbuf);
-            }
-            wire::V1Request::Report { app, target, func_ms, x86_load } => {
-                let x86 = x86_load.min(u32::MAX as u64) as u32;
-                if let Some(d) = ctx.dur.clone() {
-                    // Legacy reports get the same journal-then-apply
-                    // contract as v2 — durability is per-daemon, not
-                    // per-protocol.
-                    let r = wire::WireReport { app, target, func_ms, x86_load: x86 };
-                    match d.ingest_report(&ctx.engine, &r, Some(&mut ctx.tracer)) {
-                        Ok(()) => conn.outbuf.extend_from_slice(b"OK\n"),
-                        Err(_) => conn.outbuf.extend_from_slice(b"ERR\n"),
-                    }
-                } else {
-                    ctx.engine.ingest_obs(app, target, func_ms, x86, Some(&mut ctx.tracer));
-                    conn.outbuf.extend_from_slice(b"OK\n");
-                }
-            }
-            wire::V1Request::Table => {
-                for e in ctx.engine.table() {
-                    wire::v1_table_row_into(
-                        &e.app,
-                        &e.kernel,
-                        e.fpga_thr,
-                        e.arm_thr,
-                        &mut conn.outbuf,
-                    );
-                }
-                conn.outbuf.extend_from_slice(b"END\n");
-            }
-            wire::V1Request::Dump => {
-                // Drain this worker's ring first so the event counters
-                // and the trace log reflect everything up to this
-                // request (other workers' rings drain on their own
-                // maintenance ticks).
-                ctx.drain_trace();
-                let mut text = String::new();
-                // Counter lines come from the same pairs StatsV2
-                // ships, so DUMP covers the wire op by construction.
-                xar_obs::render_pairs(&collect_stats_v2(ctx), &mut text);
-                let o = ctx.engine.obs_total();
-                xar_obs::render_histogram("xar_decide_latency_ns", &o.decide, &mut text);
-                xar_obs::render_histogram(
-                    "xar_decide_batch_latency_ns",
-                    &o.decide_batch,
-                    &mut text,
-                );
-                xar_obs::render_histogram(
-                    "xar_report_batch_latency_ns",
-                    &o.report_batch,
-                    &mut text,
-                );
-                xar_obs::render_histogram(
-                    "xar_flush_publish_latency_ns",
-                    &o.flush_publish,
-                    &mut text,
-                );
-                // Windowed section: sliding-window quantiles and
-                // per-second rates from the per-tick series. Absent
-                // until the series holds two samples (and entirely
-                // when the series layer is disabled) — cumulative
-                // lifetime values above are always present.
-                ctx.advance_series();
-                if let Some(state) = &ctx.series {
-                    let ring = state.ring.lock().unwrap();
-                    let w = state.ticks_for_secs(DUMP_WINDOW_SECS);
-                    for (i, class) in SERIES_HISTS.iter().enumerate() {
-                        if let Some(h) = ring.windowed_hist(i, w) {
-                            for (q, qn) in [(0.50, "p50"), (0.99, "p99")] {
-                                let name = format!("xar_windowed_{class}_{qn}_ns");
-                                xar_obs::render_type(&name, "gauge", &mut text);
-                                let _ = writeln!(
-                                    &mut text,
-                                    "{name}{{window=\"{DUMP_WINDOW_SECS}s\"}} {}",
-                                    h.percentile(q)
-                                );
-                            }
-                        }
-                    }
-                    for (i, name) in SERIES_COUNTERS.iter().enumerate() {
-                        if let Some(per_tick) = ring.rate(i, w) {
-                            let full = format!("xar_rate_{name}");
-                            xar_obs::render_type(&full, "gauge", &mut text);
-                            let _ = writeln!(
-                                &mut text,
-                                "{full}{{window=\"{DUMP_WINDOW_SECS}s\"}} {:.3}",
-                                state.per_sec(per_tick)
-                            );
-                        }
-                    }
-                }
-                let shard_metrics = ctx.engine.metrics();
-                xar_obs::render_type("xar_shard_decides", "gauge", &mut text);
-                for (i, m) in shard_metrics.iter().enumerate() {
-                    xar_obs::render_shard_gauge("shard_decides", i, m.decides, &mut text);
-                }
-                xar_obs::render_type("xar_shard_reports", "gauge", &mut text);
-                for (i, m) in shard_metrics.iter().enumerate() {
-                    xar_obs::render_shard_gauge("shard_reports", i, m.reports, &mut text);
-                }
-                conn.outbuf.extend_from_slice(text.as_bytes());
-                conn.outbuf.extend_from_slice(b"END\n");
-            }
-            wire::V1Request::Trace { n } => {
-                ctx.drain_trace();
-                let mut text = String::new();
-                // An oversized n (the grammar already clamped literals
-                // past usize) means "everything the log holds".
-                for ev in ctx.trace_log.last(n.min(ctx.config.trace_log_capacity)) {
-                    let _ = writeln!(&mut text, "{ev}");
-                }
-                conn.outbuf.extend_from_slice(text.as_bytes());
-                conn.outbuf.extend_from_slice(b"END\n");
-            }
-            wire::V1Request::Series { name, secs } => {
-                ctx.advance_series();
-                let rows = ctx.series.as_ref().and_then(|state| {
-                    let ring = state.ring.lock().unwrap();
-                    let w = state.ticks_for_secs(secs);
-                    if let Some(i) = SERIES_COUNTERS.iter().position(|&c| c == name) {
-                        Some(ring.deltas(i, w))
-                    } else {
-                        parse_quantile_series(name).map(|(i, q)| ring.quantile_series(i, w, q))
-                    }
-                });
-                match rows {
-                    Some(rows) => {
-                        let mut text = String::new();
-                        for (tick, v) in rows {
-                            let _ = writeln!(&mut text, "{tick} {v}");
-                        }
-                        conn.outbuf.extend_from_slice(text.as_bytes());
-                        conn.outbuf.extend_from_slice(b"END\n");
-                    }
-                    // Unknown series name, or the series layer is
-                    // disabled.
-                    None => conn.outbuf.extend_from_slice(b"ERR\n"),
-                }
-            }
-            wire::V1Request::Rate { name } => {
-                ctx.advance_series();
-                let rate = ctx.series.as_ref().and_then(|state| {
-                    let i = SERIES_COUNTERS.iter().position(|&c| c == name)?;
-                    let per_tick =
-                        state.ring.lock().unwrap().rate(i, state.ticks_for_secs(RATE_WINDOW_SECS));
-                    // A series with fewer than two samples yet reads
-                    // as a zero rate, not an error.
-                    Some(per_tick.map_or(0.0, |r| state.per_sec(r)))
-                });
-                match rate {
-                    Some(r) => {
-                        let mut text = String::new();
-                        let _ = writeln!(&mut text, "xar_rate_{name} {r:.3}");
-                        conn.outbuf.extend_from_slice(text.as_bytes());
-                        conn.outbuf.extend_from_slice(b"END\n");
-                    }
-                    None => conn.outbuf.extend_from_slice(b"ERR\n"),
-                }
-            }
-            wire::V1Request::Quit => {
-                conn.closed = true;
-                // Discard anything pipelined after QUIT: the client
-                // ended the session, so later lines must not execute
-                // (the seed server dropped them too).
-                conn.inbuf.clear();
-                at = 0;
-                break;
-            }
-        }
-    }
-    conn.inbuf.drain(..at);
-    // A v1 peer streaming bytes with no newline must not grow the
-    // buffer without bound. (Skipped while capped: the backlog is then
-    // complete-but-unprocessed lines, not one runaway line.)
-    if !capped && conn.inbuf.len() > wire::MAX_V1_LINE {
-        conn.outbuf.extend_from_slice(b"ERR\n");
-        note_proto_error(conn, ctx, slot);
-        conn.closed = true;
-        // Discard the runaway line: re-scanning it on a later pump
-        // would emit the diagnostic again.
-        conn.inbuf.clear();
+/// Appends `resp` in the connection's protocol.
+fn encode(proto: Proto, resp: &Response<'_>, out: &mut Vec<u8>) {
+    match proto {
+        Proto::V1 => wire::encode_v1_response(resp, out),
+        Proto::V2 | Proto::Undetermined => wire::encode_response(resp, out),
     }
 }
 

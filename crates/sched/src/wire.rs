@@ -501,9 +501,9 @@ pub fn parse_target(s: &str) -> Option<Target> {
 /// no newline past this is a protocol error, not a buffering duty.
 pub const MAX_V1_LINE: usize = 64 * 1024;
 
-/// A parsed v1 text-protocol request line. The grammar lives here —
-/// and only here — so the paper-faithful server in `xar-core` and the
-/// daemon's v1 fallback cannot drift apart.
+/// A parsed v1 text-protocol request line. The daemon maps `DECIDE`,
+/// `REPORT` and `TABLE` onto the same [`Request`]s as their v2 frames;
+/// the rest are v1-only commands.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum V1Request<'a> {
     /// `DECIDE <app> <kernel> <x86_load> <resident:0|1>`
@@ -532,11 +532,9 @@ pub enum V1Request<'a> {
     Table,
     /// `DUMP` — Prometheus-style text exposition of every counter,
     /// histogram bucket, and per-shard gauge, terminated by `END`.
-    /// Answered by the daemon's v1 fallback; the paper-faithful
-    /// `xar-core` server (no observability registry) answers `ERR`.
     Dump,
     /// `TRACE <n>` — the last `n` ring-buffer trace events, oldest
-    /// first, terminated by `END`. Same server split as `DUMP`. `n = 0`
+    /// first, terminated by `END`. `n = 0`
     /// answers just `END`; an `n` past the log capacity (including
     /// literals too large for `usize`) clamps to it instead of erroring
     /// — asking for "everything" must not be a protocol error.
@@ -547,8 +545,7 @@ pub enum V1Request<'a> {
     /// `SERIES <name> <secs>` — per-slot time-series values of one
     /// tracked counter (deltas) or windowed quantile (`<class>_p50_ns`
     /// / `<class>_p99_ns`) over the last `secs` seconds, one
-    /// `<tick> <value>` line per slot, terminated by `END`. Same server
-    /// split as `DUMP`.
+    /// `<tick> <value>` line per slot, terminated by `END`.
     Series {
         /// Series name (counter or `<class>_p50_ns`/`<class>_p99_ns`).
         name: &'a str,
@@ -556,8 +553,7 @@ pub enum V1Request<'a> {
         secs: u64,
     },
     /// `RATE <name>` — sliding-window per-second rate of one tracked
-    /// counter, answered as `xar_rate_<name> <value>` + `END`. Same
-    /// server split as `DUMP`.
+    /// counter, answered as `xar_rate_<name> <value>` + `END`.
     Rate {
         /// Counter name.
         name: &'a str,
@@ -614,6 +610,27 @@ pub fn v1_decide_reply_into(d: &xar_desim::Decision, out: &mut Vec<u8>) {
 pub fn v1_table_row_into(app: &str, kernel: &str, fpga_thr: u32, arm_thr: u32, out: &mut Vec<u8>) {
     use std::io::Write as _;
     let _ = writeln!(out, "{app} {kernel} {fpga_thr} {arm_thr}");
+}
+
+/// Appends the v1 text form of a reply: `TARGET <t> <r>` for a
+/// decision, `OK` for an ack, the table rows then `END` for a table,
+/// and `ERR` for everything else (errors, and replies v1 has no form
+/// for — a v1 line never asks for them).
+pub fn encode_v1_response(resp: &Response<'_>, out: &mut Vec<u8>) {
+    match resp {
+        Response::Decide { target, reconfigure } => {
+            let d = xar_desim::Decision { target: *target, reconfigure: *reconfigure };
+            v1_decide_reply_into(&d, out);
+        }
+        Response::Ack(_) => out.extend_from_slice(b"OK\n"),
+        Response::Table(rows) => {
+            for e in rows {
+                v1_table_row_into(e.app, e.kernel, e.fpga_thr, e.arm_thr, out);
+            }
+            out.extend_from_slice(b"END\n");
+        }
+        _ => out.extend_from_slice(b"ERR\n"),
+    }
 }
 
 // ---------------------------------------------------------------- encoding

@@ -3,7 +3,10 @@
 //! `std::sync`. A poisoned std lock (a panic while held) is recovered
 //! into the inner guard, matching parking_lot's "no poisoning" model.
 
-use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{self, RwLockReadGuard, RwLockWriteGuard};
+
+/// The guard [`Mutex::lock`] returns (named like `parking_lot::MutexGuard`).
+pub use std::sync::MutexGuard;
 
 /// Non-poisoning mutex (API subset of `parking_lot::Mutex`).
 #[derive(Debug, Default)]

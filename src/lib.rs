@@ -21,9 +21,10 @@
 //!   daemon: epoll on Linux with a portable `poll(2)` fallback,
 //!   cross-thread waker, coarse timer wheel.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the architecture and the
-//! paper-to-module map, and `EXPERIMENTS.md` for paper-vs-measured
-//! results. Runnable walkthroughs live in `examples/`.
+//! See `README.md` for a tour, the crate layout against the paper's
+//! pipeline, and the daemon's architecture; `tests/experiment_shapes.rs`
+//! checks the evaluation's shapes against the paper. Runnable
+//! walkthroughs live in `examples/`.
 
 pub use xar_core as core;
 pub use xar_desim as desim;

@@ -455,9 +455,8 @@ fn torn_wal_tail_recovers_longest_valid_prefix() {
         .expect("Digit500 in the seed table");
 
     // The single WAL segment, parsed into frame boundaries so each cut
-    // knows how many *complete* seq-batch records precede it (engine
-    // flush may interleave RowDeltas records; those are journaled but
-    // skipped on recovery).
+    // knows how many *complete* seq-batch records precede it (counted
+    // by tag: records of other types may sit between them).
     let wal_name = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
