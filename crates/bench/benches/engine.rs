@@ -8,19 +8,20 @@
 //!   kept as the compatibility path and measured as the baseline).
 //! * **contended decides/sec at 1/4/8 threads on one hot shard** —
 //!   every thread hammers apps living in the same shard while a
-//!   flusher keeps publishing fresh snapshots (batch = 1 reports), so
+//!   reporter keeps publishing fresh snapshots (one report each), so
 //!   the cached path's revalidate-and-refresh logic is exercised, not
 //!   idled. The acceptance bar: ≥ 2× aggregate throughput at 8
 //!   threads over the locked baseline.
 //! * **flush-publish cost at 10k apps, 1 row touched** — the
-//!   copy-on-write snapshot (`report` with batch = 1: apply one
+//!   copy-on-write snapshot (a one-report frame: apply one
 //!   Algorithm 1 update, publish) vs a simulated legacy deep rebuild
 //!   (re-materializing every row with fresh allocations, what
 //!   `PolicyCore::snapshot` used to do per flush). Bar: ≥ 10×.
 //! * **tracing overhead** — decide p50 on the cached handle measured
-//!   three ways: the plain `decide()` path (no `Tracer` parameter at
-//!   all — the compile-time-disabled baseline), `decide_obs` with a
-//!   runtime-disabled tracer (one branch on the hot path), and
+//!   three ways: the plain `decide()` path (`decide_obs` with `None`,
+//!   whose tracer branch folds away at compile time — the baseline),
+//!   `decide_obs` with a runtime-disabled tracer (one branch on the
+//!   hot path), and
 //!   `decide_obs` with an enabled tracer emitting slow-decide events
 //!   into its ring. Best-of-N rounds against scheduler noise; the
 //!   `--quick` CI smoke asserts the disabled path stays within 5% of
@@ -63,7 +64,10 @@ use xar_core::XarTrekPolicy;
 use xar_desim::DecideCtx;
 use xar_desim::Target;
 use xar_sched::obs::{ring, EventCounters, Tracer};
-use xar_sched::{shard_of, DurabilityConfig, FsyncPolicy, ReportOwned, ShardedEngine, WireQuery};
+use xar_sched::wire::WireReport;
+use xar_sched::{
+    shard_of, BatchScratch, DurabilityConfig, FsyncPolicy, ReportOwned, ShardedEngine, WireQuery,
+};
 
 const APPS: usize = 10_000;
 const SHARDS: usize = 8;
@@ -78,7 +82,7 @@ fn main() {
     };
 
     let policy = big_policy(APPS);
-    let engine = Arc::new(sharded_engine(&policy, EngineConfig { shards: SHARDS, batch: 1 }));
+    let engine = Arc::new(sharded_engine(&policy, EngineConfig { shards: SHARDS }));
     let hot = hot_shard_apps();
 
     // Uncontended single-thread latency, both paths.
@@ -290,6 +294,11 @@ fn ctx<'a>(app: &'a str, load: usize) -> DecideCtx<'a> {
     }
 }
 
+/// The report the publish rows apply: an FPGA run of `app`.
+fn fpga_report(app: &str) -> WireReport<'_> {
+    WireReport { app, target: Target::Fpga, func_ms: 1.0, x86_load: 3 }
+}
+
 /// Per-call latency distribution of one path; returns (p50, p99) ns.
 fn uncontended(
     engine: &Arc<ShardedEngine<XarTrekPolicy>>,
@@ -310,7 +319,7 @@ fn uncontended(
 }
 
 /// Aggregate decides/sec with `threads` workers on the hot shard while
-/// a flusher publishes a fresh snapshot every few hundred decides.
+/// a reporter publishes a fresh snapshot every few hundred decides.
 fn contended_rate(
     engine: &Arc<ShardedEngine<XarTrekPolicy>>,
     hot: &[String],
@@ -319,14 +328,15 @@ fn contended_rate(
     cached: bool,
 ) -> u64 {
     let stop = Arc::new(AtomicBool::new(false));
-    let flusher = {
+    let reporter = {
         let (engine, stop) = (engine.clone(), stop.clone());
         let app = hot[0].clone();
         std::thread::spawn(move || {
+            let mut scratch = BatchScratch::default();
             while !stop.load(Ordering::Relaxed) {
-                // batch = 1: applies one Algorithm 1 update and
-                // publishes a fresh snapshot immediately.
-                engine.ingest(&app, xar_desim::Target::Fpga, 1.0, 3);
+                // Applies one Algorithm 1 update and publishes a
+                // fresh snapshot.
+                engine.report_batch_wire(&mut scratch, &[fpga_report(&app)]);
                 std::thread::sleep(Duration::from_micros(200));
             }
         })
@@ -353,15 +363,15 @@ fn contended_rate(
     std::thread::sleep(window);
     stop.store(true, Ordering::Relaxed);
     let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    flusher.join().unwrap();
+    reporter.join().unwrap();
     (total as f64 / window.as_secs_f64()) as u64
 }
 
 /// Decide p50 on the cached handle, three instrumentation states:
 /// `(compile_baseline, obs_disabled, obs_enabled)` ns.
 ///
-/// * **compile-time baseline** — the plain [`DecideHandle::decide`],
-///   whose body carries no tracer parameter at all.
+/// * **compile-time baseline** — the plain [`DecideHandle::decide`]:
+///   `decide_obs` with `None`, so the tracer branch folds away.
 /// * **obs disabled** — `decide_obs` with [`Tracer::disabled`]: the
 ///   hot path pays exactly one branch per emit site.
 /// * **obs enabled** — `decide_obs` with an enabled tracer at
@@ -407,17 +417,18 @@ fn tracing_overhead(
     (run(0), run(1), run(2))
 }
 
-/// Mean cost of (a) the engine's real flush-publish — one report at
-/// batch = 1 applies Algorithm 1 to one row and publishes a COW
+/// Mean cost of (a) the engine's real flush-publish — a one-report
+/// frame applies Algorithm 1 to one row and publishes a COW
 /// snapshot of the whole 10k-row shard table — and (b) the legacy
 /// deep rebuild the COW scheme replaced, re-materializing every row.
 fn flush_cost(policy: &XarTrekPolicy, iters: usize) -> (u64, u64) {
     // One shard so the published table carries all 10k rows.
-    let engine = sharded_engine(policy, EngineConfig { shards: 1, batch: 1 });
-    let app = "app-000000";
+    let engine = sharded_engine(policy, EngineConfig { shards: 1 });
+    let report = [fpga_report("app-000000")];
+    let mut scratch = BatchScratch::default();
     let start = Instant::now();
     for _ in 0..iters {
-        engine.ingest(app, xar_desim::Target::Fpga, 1.0, 3);
+        engine.report_batch_wire(&mut scratch, &report);
     }
     let cow_ns = start.elapsed().as_nanos() as u64 / iters as u64;
 
@@ -440,8 +451,7 @@ fn flush_cost(policy: &XarTrekPolicy, iters: usize) -> (u64, u64) {
 /// Decide RTT against the daemon end to end; returns (p50, p99) ns.
 fn daemon_rtt(policy: &XarTrekPolicy, hot: &[String], samples: usize) -> (u64, u64) {
     let daemon =
-        spawn_sharded(policy, EngineConfig { shards: SHARDS, batch: 1 }, ServerConfig::default())
-            .unwrap();
+        spawn_sharded(policy, EngineConfig { shards: SHARDS }, ServerConfig::default()).unwrap();
     let mut client = V2Client::connect(daemon.addr()).unwrap();
     for _ in 0..samples / 10 {
         client.decide(&hot[0], "k", 42, true).unwrap();
@@ -470,8 +480,7 @@ type SweepRow = (usize, u64, u64);
 /// decision.
 fn batched_decide_sweep(policy: &XarTrekPolicy, samples: usize) -> (Vec<SweepRow>, Vec<SweepRow>) {
     let daemon =
-        spawn_sharded(policy, EngineConfig { shards: SHARDS, batch: 1 }, ServerConfig::default())
-            .unwrap();
+        spawn_sharded(policy, EngineConfig { shards: SHARDS }, ServerConfig::default()).unwrap();
     let mut client = V2Client::connect(daemon.addr()).unwrap();
     // Queries spread across the whole table (all shards), cycling
     // loads, so the batch path exercises real shard grouping.
@@ -592,7 +601,7 @@ struct DurRow {
     mode: &'static str,
     /// JSON key for the mode.
     key: &'static str,
-    /// Report-ingest throughput (16-report frames, engine batch = 1).
+    /// Report-ingest throughput (16-report frames).
     ingest_per_sec: u64,
     /// Decide RTT p50 on the same daemon, best of N rounds.
     decide_p50: u64,
@@ -627,7 +636,7 @@ fn durability_cost(
         let durability = fsync.map(|f| DurabilityConfig { fsync: f, ..DurabilityConfig::at(&dir) });
         let daemon = spawn_sharded(
             policy,
-            EngineConfig { shards: SHARDS, batch: 1 },
+            EngineConfig { shards: SHARDS },
             ServerConfig { durability, ..ServerConfig::default() },
         )
         .unwrap();
@@ -693,8 +702,7 @@ fn scrape_cost(
     interval: Duration,
 ) -> ScrapeCost {
     let daemon =
-        spawn_sharded(policy, EngineConfig { shards: SHARDS, batch: 1 }, ServerConfig::default())
-            .unwrap();
+        spawn_sharded(policy, EngineConfig { shards: SHARDS }, ServerConfig::default()).unwrap();
     let addr = daemon.addr();
     let mut client = V2Client::connect(addr).unwrap();
     let scrape_iters = (samples / 10).clamp(100, 20_000);
@@ -851,7 +859,7 @@ fn render_json(
     "attached_over_detached": {:.3}
   }},
   "durability": {{
-    "note": "per-mode daemons: report-ingest throughput (16-report frames, engine batch = 1) pays the WAL + fsync policy; decide RTT p50 is WAL-free by construction and the --quick bar asserts the wal_fsync_off daemon stays within 5% of the in-memory one",
+    "note": "per-mode daemons: report-ingest throughput (16-report frames) pays the WAL + fsync policy; decide RTT p50 is WAL-free by construction and the --quick bar asserts the wal_fsync_off daemon stays within 5% of the in-memory one",
     "modes": {{
       {dur_modes}
     }},

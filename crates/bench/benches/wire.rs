@@ -64,7 +64,7 @@ fn bench_report_ingest(c: &mut Criterion) {
     {
         let v2 = spawn_sharded(
             &policy(),
-            EngineConfig { shards: 8, batch: 64 },
+            EngineConfig::default(),
             ServerConfig { workers: 1, ..ServerConfig::default() },
         )
         .unwrap();

@@ -6,11 +6,11 @@
 //! snapshots checkpoint the threshold table and session marks, and a
 //! restart on the same `DIR` recovers exactly the acked state.
 //!
-//! `SIGTERM`/`SIGINT` trigger a graceful drain: stop accepting, flush
-//! the dirty shards, write the final snapshot, exit 0.
+//! `SIGTERM`/`SIGINT` trigger a graceful drain: stop accepting, write
+//! the final snapshot, exit 0.
 //!
 //! ```text
-//! xar-schedd [--listen ADDR] [--workers N] [--shards N] [--batch N]
+//! xar-schedd [--listen ADDR] [--workers N] [--shards N]
 //!            [--table FILE] [--daemon-id N]
 //!            [--durability DIR] [--fsync always|off|interval:MS]
 //!            [--segment-bytes N] [--snapshot-every N]
@@ -26,7 +26,7 @@ use xar_sched::{DurabilityConfig, EngineConfig, FsyncPolicy, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: xar-schedd [--listen ADDR] [--workers N] [--shards N] [--batch N] \
+        "usage: xar-schedd [--listen ADDR] [--workers N] [--shards N] \
          [--table FILE] [--daemon-id N] [--durability DIR] \
          [--fsync always|off|interval:MS] [--segment-bytes N] [--snapshot-every N]"
     );
@@ -80,7 +80,6 @@ fn main() {
             "--listen" => listen = parse(&arg, args.next()),
             "--workers" => server_config.workers = parse(&arg, args.next()),
             "--shards" => engine_config.shards = parse(&arg, args.next()),
-            "--batch" => engine_config.batch = parse(&arg, args.next()),
             "--table" => table_path = Some(parse(&arg, args.next())),
             "--daemon-id" => server_config.daemon_id = parse(&arg, args.next()),
             "--durability" => dur = Some(DurabilityConfig::at(parse::<String>(&arg, args.next()))),
@@ -163,7 +162,7 @@ fn main() {
     while !signals::shutdown_requested() {
         std::thread::sleep(Duration::from_millis(50));
     }
-    println!("xar-schedd: shutdown signal — draining (flush + final snapshot)");
+    println!("xar-schedd: shutdown signal — draining (final snapshot)");
     server.shutdown();
     println!("xar-schedd: drained, exiting");
 }

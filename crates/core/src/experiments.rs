@@ -74,15 +74,13 @@ fn xar_policy(cfg: &ClusterConfig) -> XarTrekPolicy {
 /// The default Xar-Trek policy for figure generation: the production
 /// sharded engine behind the daemon's [`xar_sched::ShardedPolicy`]
 /// adapter, so every regenerated table exercises the snapshot decide
-/// path and batched report ingestion the daemon serves. With `batch =
-/// 1` it is report-for-report identical to the plain policy, keeping
-/// the figures deterministic. (The ablations keep the plain policy:
-/// they flip its flags directly.)
+/// path and report ingestion the daemon serves. Reports apply as they
+/// arrive, so it is report-for-report identical to the plain policy,
+/// keeping the figures deterministic. (The ablations keep the plain
+/// policy: they flip its flags directly.)
 fn xar_sharded(cfg: &ClusterConfig) -> xar_sched::ShardedPolicy<XarTrekPolicy> {
-    let engine = crate::server::sharded_engine(
-        &xar_policy(cfg),
-        crate::server::EngineConfig { shards: 8, batch: 1 },
-    );
+    let engine =
+        crate::server::sharded_engine(&xar_policy(cfg), crate::server::EngineConfig::default());
     xar_sched::ShardedPolicy::new(std::sync::Arc::new(engine))
 }
 

@@ -187,7 +187,7 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
     fn snapshot(&self) -> PolicySnapshot {
         // O(1): the table is copy-on-write, so this shares every row
         // with the policy until Algorithm 1 touches one. Publishing a
-        // fresh snapshot per flush costs rows-touched, not table-size.
+        // fresh snapshot per apply costs rows-touched, not table-size.
         PolicySnapshot { table: self.table.clone(), early_config: self.early_config }
     }
 
@@ -213,16 +213,6 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
                 arm_thr: e.arm_thr,
             })
             .collect()
-    }
-
-    fn entry(&self, app: &str) -> Option<xar_sched::TableEntry> {
-        // Indexed lookup instead of the default full-table scan.
-        self.table.get(app).map(|e| xar_sched::TableEntry {
-            app: e.app.clone(),
-            kernel: e.kernel.clone(),
-            fpga_thr: e.fpga_thr,
-            arm_thr: e.arm_thr,
-        })
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
@@ -496,10 +486,11 @@ mod tests {
         use xar_desim::Target;
         // Drive the same decide/report trace through (a) the plain
         // policy under a mutex-style sequential loop and (b) the
-        // sharded engine with batch=1; tables must converge
-        // identically and every decision must match.
+        // sharded engine; tables must converge identically and every
+        // decision must match.
         let mut seq = policy();
-        let engine = xar_sched::ShardedEngine::from_shards(policy().split_shards(4), 1);
+        let engine = xar_sched::ShardedEngine::from_shards(policy().split_shards(4));
+        let mut scratch = xar_sched::BatchScratch::default();
         let apps = ["Digit2000", "CG-A", "FaceDet320", "Digit500", "FaceDet640"];
         for round in 0..50usize {
             let app = apps[round % apps.len()];
@@ -521,7 +512,13 @@ mod tests {
                 x86_load: load,
             };
             seq.on_complete(&report);
-            engine.report(xar_sched::ReportOwned::from(&report));
+            let wire = xar_sched::wire::WireReport {
+                app,
+                target: report.target,
+                func_ms: report.func_ms,
+                x86_load: load as u32,
+            };
+            engine.report_batch_wire(&mut scratch, &[wire]);
         }
         let seq_rows: Vec<_> =
             seq.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
@@ -578,10 +575,6 @@ mod tests {
         let mut bad = blob.clone();
         bad[0] = 99;
         assert!(q.load_state(&bad).is_err());
-        // The indexed entry() lookup agrees with the entries() scan.
-        let via_entry = p.entry("Digit2000").unwrap();
-        let via_scan = p.entries().into_iter().find(|e| e.app == "Digit2000").unwrap();
-        assert_eq!(via_entry, via_scan);
     }
 
     #[test]

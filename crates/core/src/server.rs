@@ -46,7 +46,7 @@ pub fn sharded_engine(
     policy: &XarTrekPolicy,
     config: EngineConfig,
 ) -> ShardedEngine<XarTrekPolicy> {
-    ShardedEngine::from_shards(policy.split_shards(config.shards), config.batch)
+    ShardedEngine::from_shards(policy.split_shards(config.shards))
 }
 
 /// Spawns the production daemon: the [`xar_sched`] worker-pool server
@@ -81,8 +81,8 @@ pub fn spawn_sharded_at(
 }
 
 /// The paper's scheduler server (§3.2) for v1 text clients: a
-/// one-worker [`spawn_sharded`] daemon (batch size 1, so every report
-/// applies before its `OK`). Dropping it shuts the daemon down.
+/// one-worker [`spawn_sharded`] daemon (every report applies before
+/// its `OK`). Dropping it shuts the daemon down.
 pub struct SchedulerServer {
     daemon: ShardedSchedulerServer,
 }

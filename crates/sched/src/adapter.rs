@@ -1,11 +1,11 @@
 //! Simulator adapter: drive a [`ShardedEngine`] as a
 //! [`xar_desim::Policy`], so cluster simulations of 1000+ concurrent
 //! applications exercise exactly the code path the daemon serves —
-//! generation-gated cached snapshot reads, interned batched report
-//! ingestion, per-shard metrics.
+//! generation-gated cached snapshot reads, the engine's one report
+//! apply path, per-shard metrics.
 
-use crate::engine::{DecideHandle, DecideScratch, PolicyCore, ShardedEngine};
-use crate::wire::WireQuery;
+use crate::engine::{BatchScratch, DecideHandle, DecideScratch, PolicyCore, ShardedEngine};
+use crate::wire::{WireQuery, WireReport};
 use std::sync::Arc;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Policy};
 
@@ -19,6 +19,8 @@ pub struct ShardedPolicy<P: PolicyCore> {
     handle: DecideHandle<P>,
     /// Reusable grouping/decision scratch for the batch door.
     scratch: DecideScratch,
+    /// Reusable grouping scratch for completion reports.
+    reports: BatchScratch,
 }
 
 impl<P: PolicyCore> Clone for ShardedPolicy<P> {
@@ -30,7 +32,11 @@ impl<P: PolicyCore> Clone for ShardedPolicy<P> {
 impl<P: PolicyCore> ShardedPolicy<P> {
     /// Wraps an engine.
     pub fn new(engine: Arc<ShardedEngine<P>>) -> Self {
-        ShardedPolicy { handle: engine.handle(), scratch: DecideScratch::default() }
+        ShardedPolicy {
+            handle: engine.handle(),
+            scratch: DecideScratch::default(),
+            reports: BatchScratch::default(),
+        }
     }
 
     /// The engine behind this adapter.
@@ -59,14 +65,14 @@ impl<P: PolicyCore> Policy for ShardedPolicy<P> {
     }
 
     fn on_complete(&mut self, report: &CompletionReport<'_>) {
-        // The borrowed ingest path: the engine interns the app name, so
-        // a steady simulation allocates no per-report strings.
-        self.handle.engine().ingest(
-            report.app,
-            report.target,
-            report.func_ms,
-            report.x86_load as u32,
-        );
+        // A one-report frame through the daemon's ingest path.
+        let report = WireReport {
+            app: report.app,
+            target: report.target,
+            func_ms: report.func_ms,
+            x86_load: report.x86_load as u32,
+        };
+        self.handle.engine().report_batch_wire(&mut self.reports, &[report]);
     }
 
     fn name(&self) -> &str {

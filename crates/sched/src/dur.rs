@@ -32,8 +32,8 @@
 //! request's session dedup and releases it after the engine applied
 //! the request's reports.
 //!
-//! Lock order: `ingest` → engine shard `state` → `pending`; `wal` is
-//! taken under `ingest` only and never wraps an engine call.
+//! Lock order: `ingest` → engine shard `state`; `wal` is taken under
+//! `ingest` only and never wraps an engine call.
 //!
 //! # Snapshot payload
 //!
@@ -42,14 +42,13 @@
 //! plus the full session table, as of the manifest's WAL watermark.
 //! Recovery = load newest valid snapshot, replay the WAL suffix.
 
-use crate::engine::{PolicyCore, ReportOwned, ShardedEngine};
+use crate::engine::{BatchScratch, PolicyCore, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
-use crate::wire::{target_from_byte, target_to_byte, WireReport};
+use crate::wire::{target_to_byte, Reader, WireError, WireReport};
 use parking_lot::{Mutex, MutexGuard};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 pub use xar_dur::FsyncPolicy;
 use xar_dur::{load_latest_snapshot, prune_snapshots, write_snapshot, Wal, WalConfig};
@@ -140,7 +139,7 @@ impl Durability {
     /// (not-yet-serving) engine and session table: load the newest
     /// valid snapshot, then replay the WAL suffix above its watermark.
     /// Replayed report records flow through the engine's normal ingest
-    /// paths, so `REPORTS`/`REPORT_BATCHES` stay continuous across the
+    /// path, so `REPORTS`/`REPORT_BATCHES` stay continuous across the
     /// restart — the recovered daemon's counters describe everything
     /// it has ever durably ingested.
     ///
@@ -156,7 +155,7 @@ impl Durability {
     ) -> io::Result<(Durability, RecoveryStats)> {
         let mut stats = RecoveryStats::default();
         if let Some((watermark, payload)) = load_latest_snapshot(&cfg.dir)? {
-            restore_snapshot(&payload, engine, sessions).map_err(invalid_data)?;
+            restore_snapshot(&payload, engine, sessions)?;
             stats.snapshot_watermark = watermark;
         }
         let mut wal = Wal::open(WalConfig {
@@ -165,12 +164,10 @@ impl Durability {
             segment_bytes: cfg.segment_bytes,
         })?;
         stats.torn_truncations = wal.truncations();
+        let mut scratch = BatchScratch::default();
         stats.replayed_records = wal.replay_after(stats.snapshot_watermark, |_lsn, payload| {
-            replay_record(payload, engine, sessions);
+            replay_record(payload, engine, sessions, &mut scratch);
         })?;
-        // Apply below-batch-size remainders now: recovery must leave
-        // the published decision snapshots equal to the full log.
-        engine.flush();
         let dur = Durability {
             cfg,
             ingest: Mutex::new(Vec::with_capacity(4096)),
@@ -361,57 +358,16 @@ fn encode_replay_note(session: u64, seq: u64, out: &mut Vec<u8>) {
     out.extend_from_slice(&seq.to_le_bytes());
 }
 
-/// Bounds-checked little-endian reader over a record payload.
-struct Cur<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let s = self.b.get(self.at..self.at + n).ok_or("record payload truncated")?;
-        self.at += n;
-        Ok(s)
+/// Decodes a record's report list: the u32 count, then the reports in
+/// the wire layout.
+fn get_reports<'a>(r: &mut Reader<'a>) -> Result<Vec<WireReport<'a>>, WireError> {
+    let n = r.u32()? as usize;
+    // A corrupt count cannot pre-allocate unbounded memory: the
+    // payload must actually hold that many minimum-size reports.
+    if n > r.remaining() / 15 {
+        return Err(WireError::Truncated);
     }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<&'a str, String> {
-        let n = self.u16()? as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|e| e.to_string())
-    }
-
-    fn reports(&mut self) -> Result<Vec<ReportOwned>, String> {
-        let n = self.u32()? as usize;
-        // A corrupt count cannot pre-allocate unbounded memory: the
-        // payload must actually hold that many minimum-size reports.
-        if n > self.b.len().saturating_sub(self.at) / 15 {
-            return Err("report count exceeds payload".into());
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let app: Arc<str> = Arc::from(self.str()?);
-            let target = target_from_byte(self.u8()?).map_err(|e| e.to_string())?;
-            let func_ms = f64::from_bits(self.u64()?);
-            let x86_load = self.u32()?;
-            out.push(ReportOwned { app, target, func_ms, x86_load });
-        }
-        Ok(out)
-    }
+    (0..n).map(|_| r.report()).collect()
 }
 
 /// Applies one replayed WAL record during recovery. Corrupt payloads
@@ -420,27 +376,28 @@ fn replay_record<P: PolicyCore>(
     payload: &[u8],
     engine: &ShardedEngine<P>,
     sessions: &SessionTable,
+    scratch: &mut BatchScratch,
 ) {
-    let mut c = Cur { b: payload, at: 0 };
-    let Ok(tag) = c.u8() else { return };
+    let mut r = Reader::new(payload);
+    let Ok(tag) = r.u8() else { return };
     match tag {
         REC_REPORT_BATCH => {
-            if let Ok(reports) = c.reports() {
-                engine.report_batch(reports);
+            if let Ok(reports) = get_reports(&mut r) {
+                engine.report_batch_wire(scratch, &reports);
             }
         }
         REC_SEQ_BATCH => {
-            let (Ok(session), Ok(seq)) = (c.u64(), c.u64()) else { return };
-            let Ok(reports) = c.reports() else { return };
+            let (Ok(session), Ok(seq)) = (r.u64(), r.u64()) else { return };
+            let Ok(reports) = get_reports(&mut r) else { return };
             // Re-stamp through the live dedup path: only a fresh seq
             // re-ingests, so replaying a WAL that overlaps the
             // snapshot (or replaying twice) cannot double-apply.
             if sessions.advance(session, seq) == Some(SeqOutcome::Fresh) {
-                engine.report_batch(reports);
+                engine.report_batch_wire(scratch, &reports);
             }
         }
         REC_REPLAY_NOTE => {
-            let (Ok(session), Ok(seq)) = (c.u64(), c.u64()) else { return };
+            let (Ok(session), Ok(seq)) = (r.u64(), r.u64()) else { return };
             // Re-counts the journaled dedup exactly once: the seq's
             // own replayed_hwm dedups repeat notes and snapshots.
             let _ = sessions.advance(session, seq);
@@ -484,32 +441,32 @@ fn restore_snapshot<P: PolicyCore>(
     payload: &[u8],
     engine: &ShardedEngine<P>,
     sessions: &SessionTable,
-) -> Result<(), String> {
-    let mut c = Cur { b: payload, at: 0 };
-    let version = c.u8()?;
+) -> io::Result<()> {
+    let mut r = Reader::new(payload);
+    let version = r.u8()?;
     if version != SNAPSHOT_VERSION {
-        return Err(format!("unknown snapshot version {version}"));
+        return Err(invalid_data(format!("unknown snapshot version {version}")));
     }
-    let opened = c.u64()?;
-    let replayed = c.u64()?;
-    let n_sessions = c.u32()? as usize;
+    let opened = r.u64()?;
+    let replayed = r.u64()?;
+    let n_sessions = r.u32()? as usize;
     if n_sessions > payload.len() / 24 {
-        return Err("session count exceeds payload".into());
+        return Err(invalid_data("session count exceeds payload".into()));
     }
     let mut sess = Vec::with_capacity(n_sessions);
     for _ in 0..n_sessions {
-        sess.push((c.u64()?, c.u64()?, c.u64()?));
+        sess.push((r.u64()?, r.u64()?, r.u64()?));
     }
-    let n_blobs = c.u32()? as usize;
+    let n_blobs = r.u32()? as usize;
     if n_blobs > payload.len() / 4 {
-        return Err("shard count exceeds payload".into());
+        return Err(invalid_data("shard count exceeds payload".into()));
     }
     let mut blobs = Vec::with_capacity(n_blobs);
     for _ in 0..n_blobs {
-        let len = c.u32()? as usize;
-        blobs.push(c.take(len)?.to_vec());
+        let len = r.u32()? as usize;
+        blobs.push(r.take(len)?.to_vec());
     }
-    engine.load_states(&blobs)?;
+    engine.load_states(&blobs).map_err(invalid_data)?;
     sessions.restore_counters(opened, replayed);
     for (id, hwm, replayed_hwm) in sess {
         sessions.restore(id, hwm, replayed_hwm);
@@ -520,7 +477,7 @@ fn restore_snapshot<P: PolicyCore>(
 #[cfg(all(test, not(feature = "model")))]
 mod tests {
     use super::*;
-    use crate::engine::{BatchScratch, EngineConfig, TableEntry};
+    use crate::engine::TableEntry;
     use xar_desim::{CompletionReport, DecideCtx, Decision, Target};
     use xar_obs::Tracer;
 
@@ -635,15 +592,18 @@ mod tests {
         }
 
         fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-            let mut c = Cur { b: bytes, at: 0 };
-            let n = c.u32()? as usize;
-            let mut counts = std::collections::BTreeMap::new();
-            for _ in 0..n {
-                let app = c.str()?.to_string();
-                counts.insert(app, c.u32()?);
-            }
-            self.counts = counts;
-            Ok(())
+            let mut r = Reader::new(bytes);
+            let mut decode = || -> Result<(), WireError> {
+                let n = r.u32()? as usize;
+                let mut counts = std::collections::BTreeMap::new();
+                for _ in 0..n {
+                    let app = r.str()?.to_string();
+                    counts.insert(app, r.u32()?);
+                }
+                self.counts = counts;
+                Ok(())
+            };
+            decode().map_err(|e| e.to_string())
         }
     }
 
@@ -658,8 +618,7 @@ mod tests {
     }
 
     fn engine() -> ShardedEngine<CountPolicy> {
-        let cfg = EngineConfig { shards: 4, batch: 2 };
-        ShardedEngine::from_shards(CountPolicy::shards(cfg.shards), cfg.batch)
+        ShardedEngine::from_shards(CountPolicy::shards(4))
     }
 
     fn wire(app: &str) -> WireReport<'static> {
@@ -698,7 +657,7 @@ mod tests {
             d.ingest_batch(&e, &mut scratch, &[wire("gamma")], None).unwrap();
             d.ingest_report(&e, &wire("alpha"), None).unwrap();
         }
-        // "Crash": nothing flushed or snapshotted; reopen on the dir.
+        // "Crash": nothing snapshotted; reopen on the dir.
         let e = engine();
         let sessions = SessionTable::new(8);
         let (_d, rec) = Durability::open(cfg(&dir), &e, &sessions).unwrap();

@@ -7,13 +7,12 @@
 //! * **decide** (hot path) — loads the shard snapshot and evaluates the
 //!   pure decision function against it. No policy lock is taken, so
 //!   threshold lookups never contend with Algorithm 1 updates.
-//! * **report** (warm path) — appends to the shard's pending queue;
-//!   once `batch` reports accumulate (or on an explicit flush) they are
-//!   applied in arrival order under the shard's state lock and a new
-//!   snapshot is published. With `batch = 1` the engine is
-//!   report-for-report identical to the v1 single-mutex server; larger
-//!   batches amortize the lock and the snapshot rebuild across many
-//!   clients.
+//! * **report** (warm path) — a frame's reports are grouped by shard;
+//!   each touched shard applies its reports in frame order under its
+//!   state lock (Algorithm 1) and publishes one new snapshot before
+//!   the call returns, so the next decide already sees them — as in
+//!   the paper's single-mutex server, with the lock and the snapshot
+//!   rebuild paid once per shard per frame.
 //!
 //! Because Algorithm 1 only ever touches the reporting application's
 //! table row, sharding by app preserves the single-policy semantics
@@ -31,17 +30,14 @@
 //! lock. The two are decision-identical by construction (both
 //! evaluate `P::decide` against the same published snapshots).
 //!
-//! Ingest is (near) allocation-free: each shard interns app names into
-//! `Arc<str>` under its pending lock, so a report for an
-//! already-known app copies no string bytes — [`ReportOwned`] carries
-//! a refcount bump, not an owned `String`.
+//! Ingest borrows: reports arrive as [`WireReport`]s pointing into the
+//! decoded frame (or WAL record), so applying one copies no string.
 
 use crate::metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics};
 use crate::snapshot::{ArcCell, CachedSnap};
 use crate::wire::{WireQuery, WireReport};
 use parking_lot::Mutex;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Target};
@@ -60,10 +56,8 @@ pub struct TableEntry {
     pub arm_thr: u32,
 }
 
-/// An owned completion report queued for batched ingestion. The app
-/// name is a shared `Arc<str>` — reports entering through the engine's
-/// ingest paths carry the shard's interned copy, so a report of a
-/// known app owns no string allocation of its own.
+/// An owned completion report, as a client queues it for a
+/// `BatchReport` frame (see `V2Client::report_batch`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportOwned {
     /// Application name.
@@ -74,28 +68,6 @@ pub struct ReportOwned {
     pub func_ms: f64,
     /// x86 load at completion.
     pub x86_load: u32,
-}
-
-impl From<&CompletionReport<'_>> for ReportOwned {
-    fn from(r: &CompletionReport<'_>) -> Self {
-        ReportOwned {
-            app: Arc::from(r.app),
-            target: r.target,
-            func_ms: r.func_ms,
-            x86_load: r.x86_load as u32,
-        }
-    }
-}
-
-impl From<&WireReport<'_>> for ReportOwned {
-    fn from(r: &WireReport<'_>) -> Self {
-        ReportOwned {
-            app: Arc::from(r.app),
-            target: r.target,
-            func_ms: r.func_ms,
-            x86_load: r.x86_load,
-        }
-    }
 }
 
 /// The policy state a shard manages. `xar-core` implements this for
@@ -125,13 +97,6 @@ pub trait PolicyCore: Send + 'static {
     /// The current threshold rows (for TABLE snapshots).
     fn entries(&self) -> Vec<TableEntry>;
 
-    /// The current row for one app, if present. The default scans
-    /// [`PolicyCore::entries`]; policies with an indexed table should
-    /// override it.
-    fn entry(&self, app: &str) -> Option<TableEntry> {
-        self.entries().into_iter().find(|e| e.app == app)
-    }
-
     /// Serializes this shard's full mutable state (not just the
     /// decision rows — anything [`PolicyCore::apply`] can read or
     /// write) for a durability snapshot. `None` means the policy does
@@ -154,14 +119,11 @@ pub trait PolicyCore: Send + 'static {
 pub struct EngineConfig {
     /// Number of policy shards (app-name hash groups).
     pub shards: usize,
-    /// Reports to accumulate per shard before applying them. `1`
-    /// reproduces the v1 server's report-for-report behavior.
-    pub batch: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { shards: 8, batch: 1 }
+        EngineConfig { shards: 8 }
     }
 }
 
@@ -175,59 +137,9 @@ pub fn shard_of(app: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// Cap on one shard's intern pool. Far above any realistic app-name
-/// population; a flood of distinct names (an abusive client) clears
-/// the pool and starts over instead of growing without bound.
-const INTERN_CAP: usize = 1 << 16;
-
-/// A shard's ingest state: the pending report queue and the app-name
-/// intern pool, both guarded by the one pending lock.
-#[derive(Default)]
-struct Pending {
-    queue: Vec<ReportOwned>,
-    names: HashSet<Arc<str>>,
-}
-
-impl Pending {
-    /// The shard's canonical `Arc<str>` for `app`, allocating only the
-    /// first time a name is seen.
-    fn intern(&mut self, app: &str) -> Arc<str> {
-        if let Some(known) = self.names.get(app) {
-            return known.clone();
-        }
-        self.intern_miss(Arc::from(app))
-    }
-
-    /// Like [`Pending::intern`] but reuses an already-owned allocation
-    /// on a pool miss instead of copying it.
-    fn intern_owned(&mut self, app: Arc<str>) -> Arc<str> {
-        if let Some(known) = self.names.get(&*app) {
-            return known.clone();
-        }
-        self.intern_miss(app)
-    }
-
-    fn intern_miss(&mut self, app: Arc<str>) -> Arc<str> {
-        if self.names.len() >= INTERN_CAP {
-            self.names.clear();
-        }
-        self.names.insert(app.clone());
-        app
-    }
-}
-
 struct Shard<P: PolicyCore> {
     state: Mutex<P>,
     snap: ArcCell<P::Snap>,
-    pending: Mutex<Pending>,
-    /// Whether `pending` may hold unapplied reports — the maintenance
-    /// flush's cheap gate, so periodically sweeping an idle engine
-    /// costs one relaxed load per shard instead of two lock
-    /// acquisitions. Set (under the `pending` lock) by every enqueue,
-    /// cleared by `flush_shard` *before* it drains, so "pending
-    /// nonempty ⇒ dirty" always holds; a spurious `true` on an empty
-    /// queue merely costs one no-op flush.
-    dirty: AtomicBool,
     metrics: ShardMetrics,
 }
 
@@ -235,26 +147,23 @@ struct Shard<P: PolicyCore> {
 /// adapter).
 pub struct ShardedEngine<P: PolicyCore> {
     shards: Vec<Shard<P>>,
-    batch: usize,
 }
 
 impl<P: PolicyCore> ShardedEngine<P> {
     /// Builds an engine from pre-split shard states. `states[i]` must
     /// hold exactly the rows whose app names map to shard `i` under
     /// [`shard_of`] — [`ShardedEngine::decide`] routes by that hash.
-    pub fn from_shards(states: Vec<P>, batch: usize) -> Self {
+    pub fn from_shards(states: Vec<P>) -> Self {
         assert!(!states.is_empty(), "at least one shard");
         let shards = states
             .into_iter()
             .map(|p| Shard {
                 snap: ArcCell::new(p.snapshot()),
                 state: Mutex::new(p),
-                pending: Mutex::new(Pending::default()),
-                dirty: AtomicBool::new(false),
                 metrics: ShardMetrics::default(),
             })
             .collect();
-        ShardedEngine { shards, batch: batch.max(1) }
+        ShardedEngine { shards }
     }
 
     /// Number of shards.
@@ -262,17 +171,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
         self.shards.len()
     }
 
-    /// Configured report batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    fn shard_idx(&self, app: &str) -> usize {
-        shard_of(app, self.shards.len())
-    }
-
     fn shard(&self, app: &str) -> &Shard<P> {
-        &self.shards[self.shard_idx(app)]
+        &self.shards[shard_of(app, self.shards.len())]
     }
 
     /// Placement decision — the *shared* read path: a reader lock plus
@@ -314,109 +214,12 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
     }
 
-    /// Queues one completion report from borrowed parts — the
-    /// allocation-free ingest path: the app name is interned in the
-    /// report's shard, so steady-state reports of known apps copy no
-    /// string bytes. Applies the shard's pending batch if it reached
-    /// the configured size.
-    pub fn ingest(&self, app: &str, target: Target, func_ms: f64, x86_load: u32) {
-        self.ingest_obs(app, target, func_ms, x86_load, None);
-    }
-
-    /// [`ShardedEngine::ingest`] with an optional tracer: a flush this
-    /// report triggers emits its `FlushPublish` event to the caller's
-    /// ring. The daemon's workers thread their per-worker tracer here.
-    pub fn ingest_obs(
-        &self,
-        app: &str,
-        target: Target,
-        func_ms: f64,
-        x86_load: u32,
-        obs: Option<&mut Tracer>,
-    ) {
-        let idx = self.shard_idx(app);
-        let shard = &self.shards[idx];
-        let ready = {
-            let mut pending = shard.pending.lock();
-            let app = pending.intern(app);
-            pending.queue.push(ReportOwned { app, target, func_ms, x86_load });
-            shard.dirty.store(true, Ordering::Release);
-            pending.queue.len() >= self.batch
-        };
-        if ready {
-            self.flush_shard(idx, shard, obs);
-        }
-    }
-
-    /// Queues one owned completion report (see [`ShardedEngine::ingest`]
-    /// for the borrowed path the daemon uses).
-    pub fn report(&self, report: ReportOwned) {
-        let idx = self.shard_idx(&report.app);
-        let shard = &self.shards[idx];
-        let ReportOwned { app, target, func_ms, x86_load } = report;
-        let ready = {
-            let mut pending = shard.pending.lock();
-            let app = pending.intern_owned(app);
-            pending.queue.push(ReportOwned { app, target, func_ms, x86_load });
-            shard.dirty.store(true, Ordering::Release);
-            pending.queue.len() >= self.batch
-        };
-        if ready {
-            self.flush_shard(idx, shard, None);
-        }
-    }
-
-    /// Queues many reports at once (BATCH_REPORT ingestion), preserving
-    /// arrival order per shard, and flushes every shard that reached
-    /// the batch size. Reports are grouped by shard first so each
-    /// shard's pending lock is taken once per call, not once per
-    /// report — the lock amortization this ingestion path exists for.
-    /// A 0/1-report batch skips the grouping entirely and takes the
-    /// same single-shard path as [`ShardedEngine::report`]. Callers
-    /// with a reusable scratch (the daemon) should prefer
-    /// [`ShardedEngine::report_batch_wire`], which allocates nothing
-    /// per call.
-    pub fn report_batch(&self, reports: impl IntoIterator<Item = ReportOwned>) -> usize {
-        let mut it = reports.into_iter();
-        let Some(first) = it.next() else {
-            return 0;
-        };
-        let Some(second) = it.next() else {
-            self.report(first);
-            return 1;
-        };
-        let mut groups: Vec<Vec<ReportOwned>> = vec![Vec::new(); self.shards.len()];
-        let mut n = 0;
-        for r in [first, second].into_iter().chain(it) {
-            groups[shard_of(&r.app, self.shards.len())].push(r);
-            n += 1;
-        }
-        for (idx, (shard, group)) in self.shards.iter().zip(groups).enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let ready = {
-                let mut pending = shard.pending.lock();
-                for r in group {
-                    let ReportOwned { app, target, func_ms, x86_load } = r;
-                    let app = pending.intern_owned(app);
-                    pending.queue.push(ReportOwned { app, target, func_ms, x86_load });
-                }
-                shard.dirty.store(true, Ordering::Release);
-                pending.queue.len() >= self.batch
-            };
-            if ready {
-                self.flush_shard(idx, shard, None);
-            }
-        }
-        n
-    }
-
-    /// Batched ingest straight off the wire: groups borrowed reports by
-    /// shard through a caller-scoped [`BatchScratch`] (no per-call
-    /// group allocation) and interns names while each shard's pending
-    /// lock is held once. A 1-report batch takes the same single-shard
-    /// path as [`ShardedEngine::ingest`].
+    /// Applies a frame's completion reports (Algorithm 1) — the
+    /// engine's one ingest path. Reports are grouped by shard through
+    /// the caller-scoped [`BatchScratch`] (no per-call allocation);
+    /// each touched shard applies its group in frame order under its
+    /// state lock and publishes one new decision snapshot before the
+    /// call returns.
     pub fn report_batch_wire(
         &self,
         scratch: &mut BatchScratch,
@@ -425,18 +228,16 @@ impl<P: PolicyCore> ShardedEngine<P> {
         self.report_batch_wire_obs(scratch, reports, None)
     }
 
-    /// [`ShardedEngine::report_batch_wire`] with an optional tracer for
-    /// the `FlushPublish` events of any flushes the batch triggers.
+    /// [`ShardedEngine::report_batch_wire`] with an optional tracer:
+    /// each shard's publish emits a `FlushPublish` event carrying its
+    /// applied row count. The daemon's workers thread their per-worker
+    /// tracer here.
     pub fn report_batch_wire_obs(
         &self,
         scratch: &mut BatchScratch,
         reports: &[WireReport<'_>],
         mut obs: Option<&mut Tracer>,
     ) -> usize {
-        if let [r] = reports {
-            self.ingest_obs(r.app, r.target, r.func_ms, r.x86_load, obs);
-            return 1;
-        }
         let shards = self.shards.len();
         scratch.groups.resize_with(shards, Vec::new);
         for (i, r) in reports.iter().enumerate() {
@@ -446,115 +247,49 @@ impl<P: PolicyCore> ShardedEngine<P> {
             if group.is_empty() {
                 continue;
             }
-            let ready = {
-                let mut pending = shard.pending.lock();
-                for &i in group.iter() {
-                    let r = &reports[i as usize];
-                    let app = pending.intern(r.app);
-                    pending.queue.push(ReportOwned {
-                        app,
-                        target: r.target,
-                        func_ms: r.func_ms,
-                        x86_load: r.x86_load,
-                    });
-                }
-                shard.dirty.store(true, Ordering::Release);
-                pending.queue.len() >= self.batch
-            };
-            group.clear();
-            if ready {
-                self.flush_shard(idx, shard, obs.as_deref_mut());
+            let mut state = shard.state.lock();
+            // Applies run at report cadence (rare next to decides), so
+            // the apply loop and the snapshot publication are each
+            // timed unconditionally — these are the report_batch /
+            // flush_publish op-class distributions.
+            let apply_start = Instant::now();
+            for &i in group.iter() {
+                let r = &reports[i as usize];
+                state.apply(&CompletionReport {
+                    app: r.app,
+                    target: r.target,
+                    func_ms: r.func_ms,
+                    x86_load: r.x86_load as usize,
+                });
             }
+            let apply_ns = apply_start.elapsed().as_nanos() as u64;
+            let publish_start = Instant::now();
+            shard.snap.store(state.snapshot());
+            let publish_ns = publish_start.elapsed().as_nanos() as u64;
+            drop(state);
+            shard.metrics.record_batch(group.len());
+            shard.metrics.record_flush_ns(apply_ns, publish_ns);
+            if let Some(tr) = obs.as_deref_mut() {
+                tr.emit(Event::FlushPublish {
+                    shard: idx as u32,
+                    rows: group.len().min(u32::MAX as usize) as u32,
+                });
+            }
+            group.clear();
         }
         reports.len()
     }
 
-    fn flush_shard(&self, idx: usize, shard: &Shard<P>, obs: Option<&mut Tracer>) {
-        // Acquire the state lock BEFORE draining the queue: two
-        // concurrent flushes that drained first could then race for
-        // the state lock and apply their batches out of arrival
-        // order. With state held, drain-then-apply is atomic with
-        // respect to other flushes, and producers only ever wait for
-        // the O(1) queue swap, not for Algorithm 1. Lock order is
-        // state → pending everywhere.
-        let mut state = shard.state.lock();
-        // Clear the hint BEFORE draining: an enqueue racing past the
-        // drain re-sets it (its report stays pending), while one the
-        // drain caught leaves at worst a spurious `true`.
-        shard.dirty.store(false, Ordering::Release);
-        let batch = {
-            let mut pending = shard.pending.lock();
-            std::mem::take(&mut pending.queue)
-        };
-        if batch.is_empty() {
-            return;
-        }
-        // Flushes run at batch cadence (rare next to decides), so the
-        // apply loop and the snapshot publication are each timed
-        // unconditionally — these are the report_batch / flush_publish
-        // op-class distributions.
-        let apply_start = Instant::now();
-        for r in &batch {
-            state.apply(&CompletionReport {
-                app: &r.app,
-                target: r.target,
-                func_ms: r.func_ms,
-                x86_load: r.x86_load as usize,
-            });
-        }
-        let apply_ns = apply_start.elapsed().as_nanos() as u64;
-        let publish_start = Instant::now();
-        shard.snap.store(state.snapshot());
-        let publish_ns = publish_start.elapsed().as_nanos() as u64;
-        shard.metrics.record_batch(batch.len());
-        shard.metrics.record_flush_ns(apply_ns, publish_ns);
-        if let Some(tr) = obs {
-            tr.emit(Event::FlushPublish {
-                shard: idx as u32,
-                rows: batch.len().min(u32::MAX as usize) as u32,
-            });
-        }
-    }
-
-    /// Applies every pending report on every shard.
-    pub fn flush(&self) {
-        for (idx, shard) in self.shards.iter().enumerate() {
-            self.flush_shard(idx, shard, None);
-        }
-    }
-
-    /// Applies pending reports on the shards that have any — the
-    /// periodic-maintenance entry point: on an idle engine every shard
-    /// is clean and the sweep costs one atomic load each, no locks.
-    pub fn flush_dirty(&self) {
-        self.flush_dirty_obs(None);
-    }
-
-    /// [`ShardedEngine::flush_dirty`] with an optional tracer: each
-    /// shard flushed emits a `FlushPublish` event carrying its applied
-    /// row count. The daemon's maintenance tick threads its per-worker
-    /// tracer here.
-    pub fn flush_dirty_obs(&self, mut obs: Option<&mut Tracer>) {
-        for (idx, shard) in self.shards.iter().enumerate() {
-            if shard.dirty.load(Ordering::Acquire) {
-                self.flush_shard(idx, shard, obs.as_deref_mut());
-            }
-        }
-    }
-
     /// Serializes every shard's policy state for a durability
-    /// snapshot, flushing pending reports first so the blobs reflect
-    /// everything ingested. `None` if the policy does not implement
+    /// snapshot. `None` if the policy does not implement
     /// [`PolicyCore::save_state`].
     pub fn save_states(&self) -> Option<Vec<Vec<u8>>> {
-        self.flush();
         self.shards.iter().map(|s| s.state.lock().save_state()).collect()
     }
 
     /// Restores per-shard policy states serialized by
     /// [`ShardedEngine::save_states`] and republishes every shard's
-    /// decision snapshot. Pending queues must be empty (recovery runs
-    /// before traffic); blob count must match the shard count — a
+    /// decision snapshot. Blob count must match the shard count — a
     /// snapshot taken under a different sharding cannot be loaded.
     pub fn load_states(&self, blobs: &[Vec<u8>]) -> Result<(), String> {
         if blobs.len() != self.shards.len() {
@@ -572,9 +307,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
         Ok(())
     }
 
-    /// The merged threshold table (after a full flush), sorted by app.
+    /// The merged threshold table, sorted by app.
     pub fn table(&self) -> Vec<TableEntry> {
-        self.flush();
         let mut entries: Vec<TableEntry> =
             self.shards.iter().flat_map(|s| s.state.lock().entries()).collect();
         entries.sort();
@@ -661,34 +395,16 @@ impl<P: PolicyCore> DecideHandle<P> {
     }
 
     /// Placement decision (wait-free steady state + sampled latency
-    /// metric).
-    ///
-    /// Deliberately NOT routed through [`DecideHandle::decide_obs`]:
-    /// this body is the tracing-free compile-time baseline the
-    /// tracing-overhead benchmark measures the obs path against, so it
-    /// must stay byte-for-byte the pre-observability hot path.
+    /// metric); [`DecideHandle::decide_obs`] without a tracer.
     pub fn decide(&mut self, ctx: &DecideCtx<'_>) -> Decision {
-        let idx = shard_of(ctx.app, self.engine.shards.len());
-        let shard = &self.engine.shards[idx];
-        let sampled = shard.metrics.note_decide(self.stripe);
-        let start = if sampled { Some(Instant::now()) } else { None };
-        let snap = self.caches[idx].get(&shard.snap);
-        let d = P::decide(snap, ctx);
-        shard.metrics.note_outcome(
-            self.stripe,
-            d.target,
-            d.reconfigure,
-            start.map(|s| s.elapsed().as_nanos() as u64),
-        );
-        d
+        self.decide_obs(ctx, None)
     }
 
     /// [`DecideHandle::decide`] with an optional tracer: a sampled
     /// decide whose latency crosses the tracer's slow-decide threshold
-    /// emits a `SlowDecide` event. Metric counting is identical to the
-    /// plain path (same election cadence, same counters) — tracing
-    /// observes, it never changes what is counted. Unelected decides
-    /// pay one branch on the `Option` and nothing else.
+    /// emits a `SlowDecide` event. Tracing observes, it never changes
+    /// what is counted. Unelected decides pay one branch on the
+    /// `Option` and nothing else.
     pub fn decide_obs(&mut self, ctx: &DecideCtx<'_>, obs: Option<&mut Tracer>) -> Decision {
         let idx = shard_of(ctx.app, self.engine.shards.len());
         let shard = &self.engine.shards[idx];
@@ -735,11 +451,10 @@ impl<P: PolicyCore> DecideHandle<P> {
         self.decide_batch_obs(queries, scratch, None)
     }
 
-    /// [`DecideHandle::decide_batch`] with an optional tracer. Elected
-    /// (timed) groups additionally record their whole-group latency in
-    /// the decide-batch histogram and emit a `SlowDecide` event when
-    /// the amortized per-decide figure crosses the tracer's threshold.
-    /// Counting is identical to the plain path.
+    /// [`DecideHandle::decide_batch`] with an optional tracer: an
+    /// elected group whose amortized per-decide figure crosses the
+    /// tracer's threshold emits a `SlowDecide` event. Counting does not
+    /// depend on the tracer.
     pub fn decide_batch_obs<'s>(
         &mut self,
         queries: &[WireQuery<'_>],
@@ -857,12 +572,17 @@ mod tests {
         }
     }
 
-    fn engine(shards: usize, batch: usize) -> ShardedEngine<CountPolicy> {
-        ShardedEngine::from_shards(vec![CountPolicy::default(); shards], batch)
+    fn engine(shards: usize) -> ShardedEngine<CountPolicy> {
+        ShardedEngine::from_shards(vec![CountPolicy::default(); shards])
     }
 
-    fn report(app: &str) -> ReportOwned {
-        ReportOwned { app: app.into(), target: Target::X86, func_ms: 1.0, x86_load: 1 }
+    fn wire(app: &str) -> WireReport<'_> {
+        WireReport { app, target: Target::X86, func_ms: 1.0, x86_load: 1 }
+    }
+
+    /// Sends one single-report frame.
+    fn report(e: &ShardedEngine<CountPolicy>, app: &str) {
+        assert_eq!(e.report_batch_wire(&mut BatchScratch::default(), &[wire(app)]), 1);
     }
 
     #[test]
@@ -876,76 +596,38 @@ mod tests {
     }
 
     #[test]
-    fn batch_one_applies_immediately() {
-        let e = engine(4, 1);
+    fn reports_publish_before_returning() {
+        let e = engine(4);
         for _ in 0..3 {
-            e.report(report("app"));
+            report(&e, "app");
         }
-        // No explicit flush: snapshot already reflects all three.
+        // The snapshot already reflects all three.
         assert_eq!(e.decide(&ctx("app")).target, Target::Fpga);
         let m = e.metrics_total();
         assert_eq!(m.reports, 3);
-        assert_eq!(m.batches, 3, "batch=1: one batch per report");
-    }
-
-    #[test]
-    fn larger_batches_defer_then_amortize() {
-        let e = engine(2, 64);
-        for _ in 0..3 {
-            e.report(report("app"));
-        }
-        // Deferred: the snapshot is stale until a flush.
-        assert_eq!(e.decide(&ctx("app")).target, Target::X86);
-        e.flush();
-        assert_eq!(e.decide(&ctx("app")).target, Target::Fpga);
-        let m = e.metrics_total();
-        assert_eq!(m.reports, 3);
-        assert_eq!(m.batches, 1, "one amortized application");
-    }
-
-    #[test]
-    fn flush_dirty_applies_stranded_below_batch_reports() {
-        let e = engine(4, 64);
-        for _ in 0..3 {
-            e.report(report("app"));
-        }
-        // Below the batch size: the snapshot is stale — the stranded
-        // state the maintenance flush exists to clear.
-        assert_eq!(e.decide(&ctx("app")).target, Target::X86, "stranded below batch");
-        e.flush_dirty();
-        assert_eq!(e.decide(&ctx("app")).target, Target::Fpga);
-        let m = e.metrics_total();
-        assert_eq!(m.reports, 3);
-        assert_eq!(m.batches, 1, "one maintenance batch");
-        // Everything is clean now: another sweep applies nothing.
-        e.flush_dirty();
-        assert_eq!(e.metrics_total().batches, 1, "clean shards were re-flushed");
-    }
-
-    #[test]
-    fn report_batch_marks_its_shards_dirty() {
-        let e = engine(4, 64);
-        e.report_batch((0..6).map(|i| report(&format!("app{i}"))));
-        assert_eq!(e.metrics_total().reports, 0, "below batch: deferred");
-        e.flush_dirty();
-        assert_eq!(e.metrics_total().reports, 6, "dirty sweep missed a shard");
+        assert_eq!(m.batches, 3, "one publish per single-report frame");
     }
 
     #[test]
     fn report_batch_groups_by_shard_and_counts() {
-        let e = engine(4, 2);
-        let n = e.report_batch((0..10).map(|i| report(&format!("app{i}"))));
+        let e = engine(4);
+        let apps: Vec<String> = (0..10).map(|i| format!("app{i}")).collect();
+        let frame: Vec<WireReport<'_>> = apps.iter().map(|a| wire(a)).collect();
+        let n = e.report_batch_wire(&mut BatchScratch::default(), &frame);
         assert_eq!(n, 10);
-        e.flush();
-        assert_eq!(e.metrics_total().reports, 10);
+        let m = e.metrics_total();
+        assert_eq!(m.reports, 10);
+        let touched: std::collections::BTreeSet<usize> =
+            apps.iter().map(|a| shard_of(a, 4)).collect();
+        assert_eq!(m.batches, touched.len() as u64, "one publish per touched shard");
         assert_eq!(e.table().len(), 10);
     }
 
     #[test]
     fn table_merges_sorted_across_shards() {
-        let e = engine(4, 1);
+        let e = engine(4);
         for app in ["zeta", "alpha", "mid"] {
-            e.report(report(app));
+            report(&e, app);
         }
         let t = e.table();
         let apps: Vec<&str> = t.iter().map(|e| e.app.as_str()).collect();
@@ -954,7 +636,7 @@ mod tests {
 
     #[test]
     fn decide_counts_and_latency_metrics_land_in_app_shard() {
-        let e = engine(4, 1);
+        let e = engine(4);
         for _ in 0..5 {
             e.decide(&ctx("solo"));
         }
@@ -973,7 +655,7 @@ mod tests {
     /// quantiles would.
     #[test]
     fn metrics_total_quantiles_come_from_the_merged_histogram() {
-        let e = engine(2, 1);
+        let e = engine(2);
         for _ in 0..99 {
             e.shards[0].metrics.record_decide(Target::X86, false, 100);
         }
@@ -990,7 +672,7 @@ mod tests {
     #[test]
     fn latency_sampling_pins_metric_counts() {
         use crate::metrics::LATENCY_SAMPLE;
-        let e = engine(1, 1);
+        let e = engine(1);
         for _ in 0..(2 * LATENCY_SAMPLE + 1) {
             e.decide(&ctx("app"));
         }
@@ -1001,31 +683,8 @@ mod tests {
     }
 
     #[test]
-    fn one_report_batch_takes_the_report_path() {
-        use crate::wire::WireReport;
-        // Three engines fed the same single report through the three
-        // ingest doors must end bit-identical: same table, same metric
-        // counts (one batch, one report), same deferred/dirty behavior.
-        let single = engine(4, 1);
-        single.report(report("app"));
-        let via_batch = engine(4, 1);
-        assert_eq!(via_batch.report_batch([report("app")]), 1);
-        let via_wire = engine(4, 1);
-        let mut scratch = BatchScratch::default();
-        let wire = [WireReport { app: "app", target: Target::X86, func_ms: 1.0, x86_load: 1 }];
-        assert_eq!(via_wire.report_batch_wire(&mut scratch, &wire), 1);
-        assert!(scratch.groups.is_empty(), "1-report fast path never built groups");
-        for e in [&via_batch, &via_wire] {
-            assert_eq!(e.metrics_total().reports, single.metrics_total().reports);
-            assert_eq!(e.metrics_total().batches, single.metrics_total().batches);
-            assert_eq!(e.table(), single.table());
-        }
-    }
-
-    #[test]
     fn empty_batch_is_a_no_op() {
-        let e = engine(4, 1);
-        assert_eq!(e.report_batch(std::iter::empty()), 0);
+        let e = engine(4);
         let mut scratch = BatchScratch::default();
         assert_eq!(e.report_batch_wire(&mut scratch, &[]), 0);
         assert_eq!(e.metrics_total().reports, 0);
@@ -1033,14 +692,14 @@ mod tests {
 
     #[test]
     fn decide_handle_matches_engine_and_observes_publishes() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = std::sync::Arc::new(engine(4));
         let mut h = e.handle();
         assert_eq!(h.decide(&ctx("app")).target, Target::X86);
         for _ in 0..3 {
-            e.report(report("app"));
+            report(&e, "app");
         }
-        // batch = 1: the third report published a new snapshot; the
-        // cached handle must observe it on its next decide.
+        // The third report published a new snapshot; the cached handle
+        // must observe it on its next decide.
         assert_eq!(h.decide(&ctx("app")).target, Target::Fpga, "handle missed the publish");
         assert_eq!(h.decide(&ctx("app")), e.decide(&ctx("app")));
         let m = e.metrics_total();
@@ -1060,13 +719,13 @@ mod tests {
 
     #[test]
     fn decide_batch_is_bit_identical_to_sequential_decides() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = std::sync::Arc::new(engine(4));
         // Push some apps over the toy policy's FPGA limit so the batch
         // spans a mixed decision set across several shards.
         for i in 0..8 {
             if i % 2 == 0 {
                 for _ in 0..3 {
-                    e.report(report(&format!("app{i}")));
+                    report(&e, &format!("app{i}"));
                 }
             }
         }
@@ -1082,16 +741,16 @@ mod tests {
 
     #[test]
     fn decide_batch_observes_publishes_between_batches() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = std::sync::Arc::new(engine(4));
         let mut h = e.handle();
         let mut scratch = DecideScratch::default();
         let queries = [query("app"), query("other")];
         assert_eq!(h.decide_batch(&queries, &mut scratch)[0].target, Target::X86);
         for _ in 0..3 {
-            e.report(report("app"));
+            report(&e, "app");
         }
-        // batch = 1: the third report published; the next batch's
-        // once-per-batch revalidation must observe it.
+        // The third report published; the next batch's once-per-batch
+        // revalidation must observe it.
         assert_eq!(
             h.decide_batch(&queries, &mut scratch)[0].target,
             Target::Fpga,
@@ -1101,14 +760,14 @@ mod tests {
 
     #[test]
     fn decide_batch_metrics_match_single_decides_plus_frame_count() {
-        let e1 = std::sync::Arc::new(engine(4, 1));
+        let e1 = std::sync::Arc::new(engine(4));
         let mut h1 = e1.handle();
         let queries: Vec<String> = (0..10).map(|i| format!("app{i}")).collect();
         let wire: Vec<WireQuery<'_>> = queries.iter().map(|a| query(a)).collect();
         for q in &wire {
             h1.decide(&q.ctx());
         }
-        let e2 = std::sync::Arc::new(engine(4, 1));
+        let e2 = std::sync::Arc::new(engine(4));
         let mut h2 = e2.handle();
         let mut scratch = DecideScratch::default();
         h2.decide_batch(&wire, &mut scratch);
@@ -1122,7 +781,7 @@ mod tests {
 
     #[test]
     fn one_query_batch_takes_the_single_decide_path() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = std::sync::Arc::new(engine(4));
         let mut h = e.handle();
         let mut scratch = DecideScratch::default();
         let ds = h.decide_batch(&[query("app")], &mut scratch);
@@ -1136,29 +795,13 @@ mod tests {
 
     #[test]
     fn empty_decide_batch_is_a_no_op() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = std::sync::Arc::new(engine(4));
         let mut h = e.handle();
         let mut scratch = DecideScratch::default();
         assert!(h.decide_batch(&[], &mut scratch).is_empty());
         let m = e.metrics_total();
         assert_eq!(m.decides, 0);
         assert_eq!(m.decide_batches, 0, "no shard to attribute an empty frame to");
-    }
-
-    #[test]
-    fn ingest_interns_app_names_per_shard() {
-        let e = engine(1, 64);
-        e.ingest("same", Target::X86, 1.0, 1);
-        e.ingest("same", Target::Fpga, 2.0, 2);
-        e.report(report("same"));
-        let pending = e.shards[0].pending.lock();
-        assert_eq!(pending.queue.len(), 3);
-        assert!(
-            Arc::ptr_eq(&pending.queue[0].app, &pending.queue[1].app)
-                && Arc::ptr_eq(&pending.queue[0].app, &pending.queue[2].app),
-            "all three reports share one interned allocation"
-        );
-        assert_eq!(pending.names.len(), 1);
     }
 
     fn tracer(threshold_ns: u64) -> (Tracer, xar_obs::TraceReader, Arc<xar_obs::EventCounters>) {
@@ -1169,12 +812,12 @@ mod tests {
 
     #[test]
     fn traced_flushes_emit_publish_events_with_row_counts() {
-        let e = engine(4, 64);
+        let e = engine(4);
         let (mut tr, mut reader, counters) = tracer(u64::MAX);
-        for i in 0..6 {
-            e.ingest_obs(&format!("app{i}"), Target::X86, 1.0, 1, Some(&mut tr));
-        }
-        e.flush_dirty_obs(Some(&mut tr));
+        let apps: Vec<String> = (0..6).map(|i| format!("app{i}")).collect();
+        let frame: Vec<WireReport<'_>> = apps.iter().map(|a| wire(a)).collect();
+        let mut scratch = BatchScratch::default();
+        e.report_batch_wire_obs(&mut scratch, &frame, Some(&mut tr));
         let (mut publishes, mut rows) = (0u64, 0u64);
         let mut shards_seen = std::collections::BTreeSet::new();
         while let Some(ev) = reader.pop() {
@@ -1185,21 +828,22 @@ mod tests {
             }
         }
         assert_eq!(rows, 6, "row counts must sum to the reports applied");
-        assert!((1..=4).contains(&publishes), "one publish per dirty shard: {publishes}");
+        assert!((1..=4).contains(&publishes), "one publish per touched shard: {publishes}");
         assert_eq!(publishes, shards_seen.len() as u64, "one publish event per shard");
         assert_eq!(counters.flush_rows.load(Ordering::Relaxed), 6);
-        // Each flush timed both phases into the op-class histograms.
+        // Each shard's apply timed both phases into the op-class
+        // histograms.
         let o = e.obs_total();
         assert_eq!(o.report_batch.count(), publishes);
         assert_eq!(o.flush_publish.count(), publishes);
-        // An untraced engine counts histograms but emits no events.
-        e.flush_dirty_obs(Some(&mut tr));
-        assert_eq!(counters.flush_publishes.load(Ordering::Relaxed), publishes, "clean: no-op");
+        // An empty frame touches no shard and emits nothing.
+        e.report_batch_wire_obs(&mut scratch, &[], Some(&mut tr));
+        assert_eq!(counters.flush_publishes.load(Ordering::Relaxed), publishes);
     }
 
     #[test]
     fn slow_sampled_decides_emit_events() {
-        let e = std::sync::Arc::new(engine(1, 1));
+        let e = std::sync::Arc::new(engine(1));
         let mut h = e.handle();
         // Threshold 0: every *sampled* decide is "slow". The first
         // decide of an idle stripe is always elected.
@@ -1226,8 +870,8 @@ mod tests {
 
     #[test]
     fn decide_obs_counts_exactly_like_decide() {
-        let traced = std::sync::Arc::new(engine(4, 1));
-        let plain = std::sync::Arc::new(engine(4, 1));
+        let traced = std::sync::Arc::new(engine(4));
+        let plain = std::sync::Arc::new(engine(4));
         let mut ht = traced.handle();
         let mut hp = plain.handle();
         let (mut tr, _reader, _counters) = tracer(u64::MAX);
@@ -1245,13 +889,13 @@ mod tests {
 
     #[test]
     fn traced_decide_batch_records_frame_latency_when_elected() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = std::sync::Arc::new(engine(4));
         let mut h = e.handle();
         let mut scratch = DecideScratch::default();
         let apps: Vec<String> = (0..10).map(|i| format!("app{i}")).collect();
         let queries: Vec<WireQuery<'_>> = apps.iter().map(|a| query(a)).collect();
         let (mut tr, _reader, _counters) = tracer(u64::MAX);
-        let plain = std::sync::Arc::new(engine(4, 1));
+        let plain = std::sync::Arc::new(engine(4));
         let mut hp = plain.handle();
         let mut pscratch = DecideScratch::default();
         let want = hp.decide_batch(&queries, &mut pscratch).to_vec();
@@ -1277,13 +921,16 @@ mod tests {
 
     #[test]
     fn concurrent_reports_all_land() {
-        let e = std::sync::Arc::new(engine(4, 8));
+        let e = std::sync::Arc::new(engine(4));
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let e = e.clone();
                 std::thread::spawn(move || {
                     for i in 0..100 {
-                        e.report(report(&format!("app{}", (t + i) % 5)));
+                        report(&e, &format!("app{}", (t + i) % 5));
+                    }
+                    if t == 0 {
+                        report(&e, "rare");
                     }
                 })
             })
@@ -1291,8 +938,15 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        e.flush();
-        let total: u32 = e.table().iter().map(|en| en.fpga_thr).sum();
-        assert_eq!(total, 800, "every report applied exactly once");
+        let table = e.table();
+        let total: u32 = table.iter().map(|en| en.fpga_thr).sum();
+        assert_eq!(total, 801, "every report applied exactly once");
+        // Every apply published before returning: a fresh handle's
+        // decisions agree with the table.
+        let mut h = e.handle();
+        for en in &table {
+            let want = if en.fpga_thr >= 3 { Target::Fpga } else { Target::X86 };
+            assert_eq!(h.decide(&ctx(&en.app)).target, want, "{}", en.app);
+        }
     }
 }

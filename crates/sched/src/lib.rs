@@ -15,10 +15,9 @@
 //!   each owning a policy instance, with a generation-gated snapshot
 //!   ([`snapshot::ArcCell`] + [`snapshot::CachedSnap`]) giving each
 //!   worker's [`engine::DecideHandle`] a wait-free steady-state decide
-//!   (one atomic load, no RMW, no shared refcount line), interned
-//!   `Arc<str>` app names making REPORT ingestion allocation-free for
-//!   known apps, and batched ingestion amortizing Algorithm 1 updates
-//!   across hundreds of clients.
+//!   (one atomic load, no RMW, no shared refcount line). Reports apply
+//!   (Algorithm 1) before their ack, straight from the borrowed frame,
+//!   with one lock and one snapshot publish per shard a frame touches.
 //! * [`server`] — the **connection layer**: one readiness-driven
 //!   acceptor plus a fixed worker pool, each worker blocking on its own
 //!   [`xar_reactor::Reactor`] (epoll on Linux, portable `poll(2)`
@@ -26,14 +25,14 @@
 //!   backpressure, an outbuf high-water cap, graceful shutdown, and
 //!   per-shard [`metrics`] (decides, migrations, batch amortization,
 //!   p50/p99 decide latency). A **timer-driven maintenance layer**
-//!   rides each reactor's wheel: a recurring per-worker flush applies
-//!   below-batch reports within `flush_interval`, per-connection idle
-//!   timeouts and write-stall deadlines reap dead peers, and
-//!   `max_connections` admission control parks the listener at the
-//!   cap instead of running into fd exhaustion — all observable via
-//!   the v2 `Stats`/`StatsV2` commands, the Prometheus-style v1
-//!   `DUMP` exposition, and per-worker `xar-obs` trace rings served
-//!   by v1 `TRACE n`.
+//!   rides each reactor's wheel: a recurring per-worker tick drains
+//!   trace rings, advances the time series and drives durability,
+//!   per-connection idle timeouts and write-stall deadlines reap dead
+//!   peers, and `max_connections` admission control parks the
+//!   listener at the cap instead of running into fd exhaustion — all
+//!   observable via the v2 `Stats`/`StatsV2` commands, the
+//!   Prometheus-style v1 `DUMP` exposition, and per-worker `xar-obs`
+//!   trace rings served by v1 `TRACE n`.
 //! * [`client`] — the blocking v2 client for application binaries,
 //!   plus the batched decide pipeline for high-rate callers:
 //!   `decide_batch` (up to 4096 queries per frame, once-per-batch

@@ -58,10 +58,10 @@ pub struct ShardMetrics {
     /// Whole-frame `DecideBatch` latency, recorded when a frame's
     /// election count is nonzero (same sampling economy as decides).
     decide_batch_hist: Histogram,
-    /// Report-batch apply-loop latency (every flush — flushes are rare
-    /// enough to time unconditionally).
+    /// Report apply-loop latency (every shard apply — rare enough
+    /// next to decides to time unconditionally).
     report_batch_hist: Histogram,
-    /// Snapshot publication latency (every flush).
+    /// Snapshot publication latency (every shard apply).
     flush_publish_hist: Histogram,
 }
 
@@ -200,10 +200,10 @@ impl ShardMetrics {
         self.decide_batch_hist.record(stripe, nanos);
     }
 
-    /// Records one shard flush: the apply-loop time over the drained
-    /// batch and the snapshot publication time. Flushes happen at batch
-    /// cadence (hundreds of reports each), so both are timed
-    /// unconditionally.
+    /// Records one shard apply: the apply-loop time over a frame's
+    /// reports for the shard and the snapshot publication time. Applies
+    /// happen at report cadence, rare next to decides, so both are
+    /// timed unconditionally.
     pub fn record_flush_ns(&self, apply_ns: u64, publish_ns: u64) {
         self.report_batch_hist.record(0, apply_ns);
         self.flush_publish_hist.record(0, publish_ns);
@@ -252,9 +252,9 @@ pub struct ObsSnapshot {
     pub decide: HistSnapshot,
     /// Whole-frame `DecideBatch` handling latency (sampled frames).
     pub decide_batch: HistSnapshot,
-    /// Report-batch apply-loop latency per flush.
+    /// Report apply-loop latency per shard apply.
     pub report_batch: HistSnapshot,
-    /// Snapshot publication latency per flush.
+    /// Snapshot publication latency per shard apply.
     pub flush_publish: HistSnapshot,
 }
 

@@ -9,8 +9,9 @@
 //! kernel until a socket is actually ready — no idle polling, no sleep
 //! quantum, no busy-yield. The reactor's coarse timer wheel carries
 //! the daemon's whole maintenance layer: a recurring per-worker
-//! **flush tick** applies reports stranded below the engine's batch
-//! size within one `flush_interval`; **write-stall deadlines** reap a
+//! **maintenance tick** (every `flush_interval`) drains the trace
+//! ring, advances the time series, re-judges the shed SLO and drives
+//! the durability heartbeat; **write-stall deadlines** reap a
 //! connection that stays backed up a whole linger window with zero
 //! drain progress (the only bound on a peer whose FIN arrived while
 //! the backpressure gate held reads off); optional **idle timeouts**
@@ -74,13 +75,13 @@ pub struct ServerConfig {
     /// so without this deadline such a connection would pin its fd
     /// and buffers forever.
     pub close_linger: Duration,
-    /// Maintenance-flush period. Each worker keeps a recurring timer
-    /// of this period on its reactor and sweeps the engine's dirty
-    /// shards when it fires, so a report stranded below the batch
-    /// size (e.g. a quiescent app's last executions) is applied
-    /// within one interval instead of waiting for an unrelated
-    /// client to fill the batch. Zero disables the timer (with
-    /// `batch = 1` every report applies inline anyway).
+    /// Maintenance-tick period. Each worker keeps a recurring timer of
+    /// this period on its reactor; when it fires the worker drains its
+    /// trace ring into the shared log, advances the time series,
+    /// re-judges the overload-shed SLO and drives the durability
+    /// heartbeat (interval fsyncs, periodic snapshots). Reports never
+    /// wait for it: they apply before their ack. Zero disables the
+    /// timer.
     pub flush_interval: Duration,
     /// Per-connection idle timeout, off by default. A connection that
     /// delivers no inbound bytes for a full window is reaped; any
@@ -218,8 +219,7 @@ enum Proto {
 /// delay (never hang) shutdown or a connection handoff.
 const MAX_WAIT: Duration = Duration::from_millis(250);
 
-/// Timer token for a worker's recurring maintenance (dirty-shard
-/// flush) timer; far above any slab slot, distinct from the reactor's
+/// Timer token for a worker's recurring maintenance timer; far above any slab slot, distinct from the reactor's
 /// reserved `WAKE_TOKEN` (`usize::MAX`).
 const MAINT_TOKEN: Token = Token(usize::MAX - 1);
 
@@ -472,7 +472,7 @@ impl Slab {
 }
 
 /// A running scheduler daemon. Dropping it shuts everything down
-/// gracefully (pending report batches are flushed).
+/// gracefully (a durable daemon writes its final snapshot).
 pub struct Server<P: PolicyCore> {
     addr: SocketAddr,
     engine: Arc<ShardedEngine<P>>,
@@ -625,7 +625,7 @@ impl<P: PolicyCore> Server<P> {
         self.addr
     }
 
-    /// The engine behind the daemon (tables, metrics, flush).
+    /// The engine behind the daemon (tables, metrics).
     pub fn engine(&self) -> &Arc<ShardedEngine<P>> {
         &self.engine
     }
@@ -648,12 +648,11 @@ impl<P: PolicyCore> Server<P> {
     }
 
     /// Abrupt stop for crash testing: joins the threads but skips the
-    /// final engine flush and the clean-shutdown snapshot, so the
-    /// durability directory is left holding exactly what the WAL (and
-    /// any earlier periodic snapshot) captured — the on-disk state of
-    /// a daemon killed mid-flight. Acked work is still on disk (that
-    /// is the durability contract); unflushed telemetry is lost, as it
-    /// would be in a real crash.
+    /// clean-shutdown snapshot, so the durability directory is left
+    /// holding exactly what the WAL (and any earlier periodic
+    /// snapshot) captured — the on-disk state of a daemon killed
+    /// mid-flight. Acked work is still on disk (that is the
+    /// durability contract).
     pub fn kill(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for w in &self.wakers {
@@ -673,8 +672,6 @@ impl<P: PolicyCore> Server<P> {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        // Telemetry left in per-shard queues survives shutdown.
-        self.engine.flush();
         // Clean shutdown checkpoints everything (and prunes the WAL it
         // covers), so the next boot replays nothing.
         if let Some(d) = &self.dur {
@@ -827,7 +824,7 @@ fn worker_loop<P: PolicyCore>(
     let mut slab = Slab::default();
     let (mut events, mut expired) = (Vec::<Event>::new(), Vec::<Token>::new());
     // The maintenance tick: a recurring timer, so an idle worker still
-    // applies stranded below-batch reports within one interval.
+    // drains its trace ring and advances the series.
     if !ctx.config.flush_interval.is_zero() {
         reactor.set_recurring_timer(MAINT_TOKEN, ctx.config.flush_interval);
     }
@@ -874,11 +871,9 @@ fn worker_loop<P: PolicyCore>(
             service(&mut slab, &mut reactor, &mut ctx, ev.token.0);
         }
         for t in &expired {
-            // Maintenance tick: sweep the engine's dirty shards (any
-            // publish emits a flush_publish trace event), then drain
-            // this worker's trace ring into the shared log.
+            // Maintenance tick: drain this worker's trace ring into the
+            // shared log.
             if *t == MAINT_TOKEN {
-                ctx.engine.flush_dirty_obs(Some(&mut ctx.tracer));
                 ctx.drain_trace();
                 // Advance the per-tick time-series once the counters
                 // above are settled for this tick, then re-judge the

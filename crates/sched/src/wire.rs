@@ -922,18 +922,24 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
 
 // ---------------------------------------------------------------- decoding
 
-/// Zero-copy cursor over a frame payload.
-struct Reader<'a> {
+/// Zero-copy cursor over a frame payload (also the WAL record and
+/// snapshot decoder in [`crate::dur`]).
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.pos + n > self.buf.len() {
             return Err(WireError::Truncated);
         }
@@ -942,7 +948,7 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
@@ -950,11 +956,11 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -962,12 +968,12 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn str(&mut self) -> Result<&'a str, WireError> {
+    pub(crate) fn str(&mut self) -> Result<&'a str, WireError> {
         let n = self.u16()? as usize;
         std::str::from_utf8(self.take(n)?).map_err(|_| WireError::BadUtf8)
     }
 
-    fn report(&mut self) -> Result<WireReport<'a>, WireError> {
+    pub(crate) fn report(&mut self) -> Result<WireReport<'a>, WireError> {
         Ok(WireReport {
             app: self.str()?,
             target: target_from_byte(self.u8()?)?,

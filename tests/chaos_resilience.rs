@@ -59,7 +59,7 @@ fn fleet_run(plan: FaultPlan) {
     let tok = plan.token();
     let daemon = spawn_sharded(
         &policy(),
-        EngineConfig { shards: 8, batch: 4 },
+        EngineConfig { shards: 8 },
         ServerConfig { workers: 4, ..ServerConfig::default() },
     )
     .unwrap();
@@ -137,7 +137,6 @@ fn fleet_run(plan: FaultPlan) {
             });
         }
     }
-    daemon.engine().flush();
     let want: Vec<_> =
         reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
     let got: Vec<_> =

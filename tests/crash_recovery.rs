@@ -3,8 +3,8 @@
 //! A durable daemon (`ServerConfig::durability`) journals every acked
 //! report batch to a WAL and checkpoints threshold rows + session
 //! marks in snapshots. These tests kill it abruptly (`Server::kill`,
-//! the in-process `kill -9`: threads stop, nothing flushes, nothing
-//! snapshots), restart on the same directory, and hold the durability
+//! the in-process `kill -9`: threads stop, nothing snapshots),
+//! restart on the same directory, and hold the durability
 //! contract to the same bar the live chaos suite holds the network
 //! path:
 //!
@@ -150,7 +150,7 @@ fn kill_run(plan: FaultPlan) {
     // exercises snapshot + WAL-suffix (not just cold replay).
     let daemon = spawn_sharded(
         &policy(),
-        EngineConfig { shards: 8, batch: 4 },
+        EngineConfig { shards: 8 },
         ServerConfig { workers: 4, ..durable(&dir, 48) },
     )
     .unwrap();
@@ -158,7 +158,7 @@ fn kill_run(plan: FaultPlan) {
     let phase1 = fleet_phase(proxy.addr(), &tok, 0, PHASE1, 1);
     drop(proxy);
 
-    // Abrupt kill: no flush, no final snapshot. The disk holds only
+    // Abrupt kill: no final snapshot. The disk holds only
     // what the WAL (and any mid-campaign checkpoint) already has.
     daemon.kill();
 
@@ -166,7 +166,7 @@ fn kill_run(plan: FaultPlan) {
     // threshold row and session mark must come back from disk.
     let daemon = spawn_sharded(
         &policy(),
-        EngineConfig { shards: 8, batch: 4 },
+        EngineConfig { shards: 8 },
         ServerConfig { workers: 4, ..durable(&dir, 48) },
     )
     .unwrap_or_else(|e| {
@@ -176,7 +176,6 @@ fn kill_run(plan: FaultPlan) {
     // Per-boot metrics right after recovery: snapshot-restored rows
     // don't re-count, WAL-suffix replays do — so this is at most the
     // phase-1 total, and the phase-2 delta below must be exact.
-    daemon.engine().flush();
     let recovered_reports = daemon.engine().metrics_total().reports;
     assert!(
         recovered_reports <= (CLIENTS * PHASE1) as u64,
@@ -200,7 +199,6 @@ fn kill_run(plan: FaultPlan) {
             });
         }
     }
-    daemon.engine().flush();
     let want: Vec<_> =
         reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
     let got: Vec<_> =
@@ -353,7 +351,6 @@ fn replayed_seq_batch_across_restart_counts_once() {
 
     // Exactly once, end to end: seq 1 was ingested by recovery replay,
     // seq 2 live; the cross-restart retry added nothing.
-    daemon.engine().flush();
     assert_eq!(daemon.engine().metrics_total().reports, 2, "{}", dir_layout(&dir));
     let stats = V2Client::connect(addr).unwrap().stats_v2().unwrap();
     assert_eq!(stats.get(obs::tags::REPLAYED_BATCHES), Some(1));
@@ -387,7 +384,6 @@ fn clean_shutdown_snapshot_leaves_nothing_to_replay() {
     for _ in 0..8 {
         assert_eq!(rc.report_batch(std::slice::from_ref(&slow_fpga("FaceDet320"))).unwrap(), 1);
     }
-    daemon.engine().flush();
     let want: Vec<_> =
         daemon.engine().table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
 
@@ -504,7 +500,6 @@ fn torn_wal_tail_recovers_longest_valid_prefix() {
                 .unwrap_or_else(|e| {
                     panic!("cut at byte {cut}: recovery failed: {e}\n{}", dir_layout(&dir2))
                 });
-        daemon.engine().flush();
         let got = daemon
             .engine()
             .table()

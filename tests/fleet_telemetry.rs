@@ -22,7 +22,7 @@ fn policy() -> XarTrekPolicy {
 }
 
 fn engine_config() -> EngineConfig {
-    EngineConfig { shards: 4, batch: 4 }
+    EngineConfig { shards: 4 }
 }
 
 /// One text-port query (daemon v1 or obsd): send `cmd`, read until the

@@ -7,8 +7,7 @@
 
 use std::sync::Arc;
 use xar_trek::core::server::{
-    spawn_sharded, BackendKind, EngineConfig, SchedulerClient, ServerConfig, ShardedPolicy,
-    V2Client,
+    spawn_sharded, BackendKind, EngineConfig, SchedulerClient, ServerConfig, V2Client,
 };
 use xar_trek::core::XarTrekPolicy;
 use xar_trek::desim::{ClusterConfig, CompletionReport, DecideCtx, Decision, Policy, Target};
@@ -111,7 +110,7 @@ fn thirty_two_concurrent_clients_match_on_poll_backend() {
 fn fleet_matches_single_threaded_path(backend: BackendKind) {
     let daemon = spawn_sharded(
         &policy(),
-        EngineConfig { shards: 8, batch: 4 },
+        EngineConfig { shards: 8 },
         ServerConfig { workers: 4, backend, ..ServerConfig::default() },
     )
     .unwrap();
@@ -170,7 +169,7 @@ fn fleet_matches_single_threaded_path(backend: BackendKind) {
     let m = daemon.engine().metrics_total();
     assert_eq!(m.decides, (CLIENTS * OPS_PER_CLIENT * 2 + APPS.len() * 3) as u64);
     assert_eq!(m.reports, (CLIENTS * OPS_PER_CLIENT) as u64);
-    assert!(m.batches < m.reports, "batching amortized at least some applies");
+    assert_eq!(m.batches, m.reports, "single-report frames publish once each");
     daemon.shutdown();
 }
 
@@ -220,7 +219,7 @@ fn mixed_batched_pipelined_and_single_fleet_matches_reference() {
     for backend in [BackendKind::default(), BackendKind::Poll] {
         let daemon = spawn_sharded(
             &policy(),
-            EngineConfig { shards: 8, batch: 4 },
+            EngineConfig { shards: 8 },
             ServerConfig { workers: 4, backend, ..ServerConfig::default() },
         )
         .unwrap();
@@ -560,75 +559,6 @@ fn write_stalled_half_closed_client_is_reaped() {
     }
 }
 
-/// The stranded-report regression: a single report below the batch
-/// size must become visible — applied to the table and the decision
-/// snapshot — within one `flush_interval`, with no manual `flush()`
-/// and no TABLE request (whose snapshot path flushes as a side
-/// effect). Before the maintenance timer, it sat in the shard queue
-/// forever and the daemon kept deciding on stale profiles. Exercised
-/// on both reactor backends and through the `ShardedPolicy` simulator
-/// adapter over the same daemon-maintained engine.
-#[test]
-fn below_batch_report_is_applied_within_one_flush_interval() {
-    let wait_for_reports =
-        |daemon: &xar_trek::core::server::ShardedSchedulerServer, want: u64, what: &str| {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            loop {
-                let m = daemon.engine().metrics_total();
-                if m.reports == want {
-                    assert!(m.batches >= 1, "{what}: applied without a batch?");
-                    return;
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "{what}: report stranded below batch size ({} applied, want {want})",
-                    m.reports
-                );
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        };
-    for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
-            EngineConfig { shards: 8, batch: 64 },
-            ServerConfig {
-                backend,
-                flush_interval: std::time::Duration::from_millis(50),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut cl = V2Client::connect(daemon.addr()).unwrap();
-        cl.report("Digit2000", Target::Fpga, 1e9, 2).unwrap();
-        wait_for_reports(&daemon, 1, &format!("{backend:?}"));
-        // And the published decision snapshot reflects it: the row's
-        // fpga_thr was bumped by Algorithm 1.
-        let mut reference = policy();
-        reference.on_complete(&CompletionReport {
-            app: "Digit2000",
-            target: Target::Fpga,
-            func_ms: 1e9,
-            x86_load: 2,
-        });
-        let row = reference.table.iter().find(|e| e.app == "Digit2000").unwrap();
-        let got = daemon.engine().table().into_iter().find(|e| e.app == "Digit2000").unwrap();
-        assert_eq!((got.fpga_thr, got.arm_thr), (row.fpga_thr, row.arm_thr), "{backend:?}");
-
-        // The simulator adapter rides the same maintenance timer: a
-        // report entering through `Policy::on_complete` is applied
-        // within one interval too.
-        let mut adapter = ShardedPolicy::new(daemon.engine().clone());
-        adapter.on_complete(&CompletionReport {
-            app: "CG-A",
-            target: Target::Fpga,
-            func_ms: 1e9,
-            x86_load: 2,
-        });
-        wait_for_reports(&daemon, 2, &format!("{backend:?} via ShardedPolicy"));
-        daemon.shutdown();
-    }
-}
-
 /// The v2 `Stats` command round-trips on both backends and carries
 /// live telemetry: engine metric totals plus connection-lifecycle
 /// counters that track a peer's reap.
@@ -812,7 +742,7 @@ fn decide_with_carries_device_context_end_to_end() {
         }
     }
     let daemon = xar_trek::sched::Server::spawn(
-        xar_trek::sched::ShardedEngine::from_shards(vec![ReadyPolicy], 1),
+        xar_trek::sched::ShardedEngine::from_shards(vec![ReadyPolicy]),
         ServerConfig::default(),
     )
     .unwrap();
@@ -926,7 +856,7 @@ fn oversized_frame_straddles_read_chunk_boundary_on_both_backends() {
     for backend in [BackendKind::default(), BackendKind::Poll] {
         let daemon = spawn_sharded(
             &policy(),
-            EngineConfig { shards: 4, batch: 1 },
+            EngineConfig { shards: 4 },
             ServerConfig { backend, ..ServerConfig::default() },
         )
         .unwrap();
@@ -948,7 +878,6 @@ fn oversized_frame_straddles_read_chunk_boundary_on_both_backends() {
             4000,
             "{backend:?}: batch straddling the read-chunk boundary was not fully ingested"
         );
-        daemon.engine().flush();
         assert_eq!(daemon.engine().metrics_total().reports, 4000, "{backend:?}");
         // The connection still works for ordinary traffic afterwards.
         assert_eq!(cl.ping(5).unwrap(), 5, "{backend:?}");
@@ -987,7 +916,7 @@ fn dump_covers_every_stats_v2_counter_and_all_histogram_buckets() {
         &policy(),
         // batch = 1: the report below applies inline, so its counter
         // is already visible to the immediately following queries.
-        EngineConfig { shards: 4, batch: 1 },
+        EngineConfig { shards: 4 },
         ServerConfig::default(),
     )
     .unwrap();
@@ -1057,7 +986,7 @@ fn fleet_trace_records_lifecycle_events_in_per_worker_order() {
     use xar_trek::sched::obs;
     let daemon = spawn_sharded(
         &policy(),
-        EngineConfig { shards: 8, batch: 4 },
+        EngineConfig { shards: 8 },
         ServerConfig {
             workers: 4,
             flush_interval: std::time::Duration::from_millis(5),

@@ -40,7 +40,7 @@ fn sharded_sim_equals_plain_policy_sim_at_1k_apps() {
 
     let run = |use_sharded: bool| {
         let mut sim = if use_sharded {
-            let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 8, batch: 1 }));
+            let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 8 }));
             ClusterSim::new(cfg.clone(), PolicyKind::Sharded(ShardedPolicy::new(engine)))
         } else {
             ClusterSim::new(cfg.clone(), PolicyKind::Plain(policy()))
@@ -100,25 +100,23 @@ impl xar_trek::desim::Policy for PolicyKind {
 }
 
 /// The engine's telemetry must observe exactly the simulator's
-/// decide/report traffic, and batching must actually defer applies.
+/// decide/report traffic.
 #[test]
 fn sharded_sim_telemetry_counts_simulator_traffic() {
     let cfg = ClusterConfig::default();
     let (_, shared) = xar_trek::core::pipeline::build_all(&cfg).unwrap();
-    let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 4, batch: 32 }));
+    let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 4 }));
     let mut sim = ClusterSim::new(cfg, ShardedPolicy::new(engine.clone()));
     for x in &shared {
         sim.preload_xclbin(x.clone());
     }
     let result = sim.run(big_arrivals());
-    engine.flush();
     let m = engine.metrics_total();
     assert!(m.decides > 0);
     assert_eq!(
         m.reports, m.decides,
         "the simulator reports every selected-function call it decided"
     );
-    assert!(m.batches < m.reports, "batch=32 amortizes applies");
     assert!(result.total_calls() >= m.decides, "calls include background jobs");
 }
 
@@ -131,7 +129,7 @@ fn sharded_sim_telemetry_counts_simulator_traffic() {
 fn adapter_batch_door_matches_per_call_decides() {
     use xar_trek::desim::Policy as _;
     use xar_trek::sched::WireQuery;
-    let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 8, batch: 1 }));
+    let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 8 }));
     let mut adapter = ShardedPolicy::new(engine.clone());
     let profiles = xar_trek::workloads::all_profiles();
     let queries: Vec<WireQuery<'_>> = profiles
